@@ -13,6 +13,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "bench_util.hpp"
@@ -163,6 +164,10 @@ using bench::fnv1a;
 struct SweepKernel {
   std::string name;
   std::function<std::uint64_t()> run;
+  /// Digest of an independent reference run the kernel must reproduce.
+  /// Unset for the ideal analog_mvm_cp16_* rows, which instead must agree
+  /// with each other.
+  std::optional<std::uint64_t> expect;
 };
 
 std::vector<SweepKernel> make_sweep_kernels() {
@@ -239,18 +244,35 @@ std::vector<SweepKernel> make_sweep_kernels() {
     auto x = std::make_shared<std::vector<std::int32_t>>(512);
     Rng rng(7);
     for (auto& v : *x) v = static_cast<std::int32_t>(rng.uniform_int(256));
+    const auto sixteen_mvms = [x](msim::AnalogLayerSim& sim) {
+      std::uint64_t h = 0;
+      for (int rep = 0; rep < 16; ++rep) {
+        const auto y = sim.mvm(*x);
+        h ^= fnv1a(y.data(), sizeof(y[0]) * y.size());
+      }
+      return h;
+    };
     for (const auto& c : cases) {
       auto sim = std::make_shared<msim::AnalogLayerSim>(
           *layer, cp_bench_sim_config(c.executor));
-      kernels.push_back({c.name, [sim, x, layer] {
-        std::uint64_t h = 0;
-        for (int rep = 0; rep < 16; ++rep) {
-          const auto y = sim->mvm(*x);
-          h ^= fnv1a(y.data(), sizeof(y[0]) * y.size());
-        }
-        return h;
-      }});
+      kernels.push_back(
+          {c.name, [sim, layer, sixteen_mvms] { return sixteen_mvms(*sim); }});
     }
+
+    // The same layer as a programmed chip (sigma = 0.1 conductance
+    // variation): the plan runs the non-ideal general path, which must
+    // reproduce the dense scan of the same variation draw bit for bit.
+    msim::MsimConfig var_cfg;
+    var_cfg.variation_sigma = 0.1;
+    msim::MsimConfig var_dense_cfg = var_cfg;
+    var_dense_cfg.use_plan = false;
+    msim::AnalogLayerSim var_dense(*layer, var_dense_cfg);
+    auto var_sim = std::make_shared<msim::AnalogLayerSim>(*layer, var_cfg);
+    kernels.push_back({"analog_mvm_cp16_general",
+                       [var_sim, layer, sixteen_mvms] {
+                         return sixteen_mvms(*var_sim);
+                       },
+                       sixteen_mvms(var_dense)});
   }
 
   return kernels;
@@ -302,7 +324,13 @@ int run_thread_sweep(const std::string& json_path) {
                   row.identical ? "bit-identical" : "MISMATCH");
       rows.push_back(row);
     }
-    if (kernel.name.rfind("analog_mvm_cp16", 0) == 0) {
+    if (kernel.expect) {
+      if (baseline != *kernel.expect) {
+        std::printf("%-24s digest DIVERGES from its dense reference\n",
+                    kernel.name.c_str());
+        all_identical = false;
+      }
+    } else if (kernel.name.rfind("analog_mvm_cp16", 0) == 0) {
       if (!cp16_seen) {
         cp16_digest = baseline;
         cp16_seen = true;

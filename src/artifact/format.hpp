@@ -157,6 +157,9 @@ class SectionReader {
     static_assert(std::is_trivially_copyable_v<T>, "vec() needs POD elements");
     const std::size_t count = checked_count(sizeof(T), "array");
     std::vector<T> v(count);
+    // An empty vector's data() may be null, and memcpy(nullptr, …, 0) is
+    // undefined behaviour.
+    if (count == 0) return v;
     std::memcpy(v.data(), data_ + pos_, count * sizeof(T));
     pos_ += count * sizeof(T);
     return v;
@@ -178,7 +181,7 @@ class SectionReader {
                         keeper_);
     } else {
       std::vector<T> v(count);
-      std::memcpy(v.data(), data_ + pos_, count * sizeof(T));
+      if (count != 0) std::memcpy(v.data(), data_ + pos_, count * sizeof(T));
       out = ArrayRef<T>(std::move(v));
     }
     pos_ += count * sizeof(T);
@@ -193,6 +196,9 @@ class SectionReader {
                   "vec_aligned() needs POD elements");
     const std::size_t count = aligned_count(sizeof(T), alignof(T), what);
     std::vector<T> v(count);
+    // An empty vector's data() may be null, and memcpy(nullptr, …, 0) is
+    // undefined behaviour.
+    if (count == 0) return v;
     std::memcpy(v.data(), data_ + pos_, count * sizeof(T));
     pos_ += count * sizeof(T);
     return v;

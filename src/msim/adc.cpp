@@ -1,7 +1,5 @@
 #include "msim/adc.hpp"
 
-#include <cmath>
-
 #include "tensor/check.hpp"
 
 namespace tinyadc::msim {
@@ -16,18 +14,6 @@ std::int64_t Adc::convert(double analog_sum) const {
   const std::int64_t code = convert(analog_sum, counters);
   conversions_ += counters.conversions;
   clip_events_ += counters.clip_events;
-  return code;
-}
-
-std::int64_t Adc::convert(double analog_sum, AdcCounters& counters) const {
-  ++counters.conversions;
-  if (bits_ == 0) return 0;
-  auto code = static_cast<std::int64_t>(std::llround(analog_sum));
-  if (code < 0) code = 0;
-  if (code > full_scale_) {
-    code = full_scale_;
-    ++counters.clip_events;
-  }
   return code;
 }
 

@@ -9,6 +9,7 @@
 // (the E9 ablation) are observable.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 namespace tinyadc::msim {
@@ -34,7 +35,25 @@ class Adc {
 
   /// Conversion against caller-owned counters: touches no Adc state, so
   /// concurrent calls are safe. Merge the counters back with absorb().
-  std::int64_t convert(double analog_sum, AdcCounters& counters) const;
+  ///
+  /// The one rounding definition every simulator path shares: the result
+  /// equals std::llround(analog_sum) clamped to [0, full_scale()] (a clip
+  /// counted when the rounded code exceeds full scale), computed exactly
+  /// and without data-dependent branches. The sum is first clamped to
+  /// [0, full_scale() + ½] — exact bounds, full_scale() < 2^24 — where
+  /// truncation is an exact cast and `a − whole` an exact fraction, so
+  /// adding `fraction ≥ ½` rounds half away from zero like llround. NaN
+  /// converts to 0.
+  std::int64_t convert(double analog_sum, AdcCounters& counters) const {
+    const double cap = static_cast<double>(full_scale_) + 0.5;
+    ++counters.conversions;
+    counters.clip_events += full_scale_ > 0 && analog_sum >= cap ? 1 : 0;
+    const double a = std::min(cap, std::max(0.0, analog_sum));
+    const auto whole = static_cast<std::int64_t>(a);
+    const std::int64_t code =
+        whole + (a - static_cast<double>(whole) >= 0.5 ? 1 : 0);
+    return std::min(code, full_scale_);
+  }
 
   /// Adds externally accumulated counters into this ADC's statistics.
   void absorb(const AdcCounters& counters);

@@ -1,10 +1,12 @@
 #include "msim/analog_mvm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "artifact/format.hpp"
 #include "runtime/parallel.hpp"
@@ -99,6 +101,10 @@ inline std::int64_t popcount_and_words(const std::uint64_t* a,
   return pc;
 #endif
 }
+
+// Most DAC cycles the general path's lanes cover: input_bits ≤ 16 (the
+// mapping validator's envelope), so one cycle per input bit at most.
+constexpr int kMaxGeneralCycles = 16;
 
 }  // namespace
 
@@ -313,11 +319,13 @@ void AnalogLayerSim::finalize_plan() {
   // conversion; worst_fused_sum_ bounds a fused per-polarity partial.
   worst_plane_sum_ = 0;
   worst_fused_sum_ = 0;
+  max_seg_len_ = 0;
   const std::size_t nseg = soa_seg_.empty() ? 0 : soa_seg_.size() - 1;
   for (std::size_t k = 0; k < nseg; ++k) {
     const std::size_t i0 = soa_seg_[k], i1 = soa_seg_[k + 1];
     const std::size_t len = i1 - i0;
     const std::size_t lbase = i0 * static_cast<std::size_t>(slices);
+    max_seg_len_ = std::max(max_seg_len_, len);
     std::int64_t fused = 0;
     for (std::size_t i = i0; i < i1; ++i) fused += soa_mag_[i];
     worst_fused_sum_ = std::max(worst_fused_sum_, fused * code_max);
@@ -357,6 +365,18 @@ void AnalogLayerSim::finalize_plan() {
       break;
   }
   if (exec_path_ == ExecPath::kBitslice) build_bit_planes();
+  if (exec_path_ == ExecPath::kGeneral) {
+    // The general lanes' exactness envelope (see exec_general): the same
+    // precisions the artifact mapping validator accepts.
+    TINYADC_CHECK(cfg.cell_bits <= 8 && cfg.dac_bits <= 16 &&
+                      dac_cycles(cfg.input_bits, cfg.dac_bits) <=
+                          kMaxGeneralCycles,
+                  "layer " << layer_.name
+                           << ": non-ideal simulation needs cell_bits <= 8, "
+                              "dac_bits <= 16 and at most 16 DAC cycles");
+    unit_denom_ = std::all_of(soa_denom_.begin(), soa_denom_.end(),
+                              [](double d) { return d == 1.0; });
+  }
 
   // Per-MVM work estimate for the parallel dispatch threshold: row slots,
   // weighted by the per-slot inner-loop cost of the resolved path. The
@@ -469,6 +489,74 @@ void AnalogLayerSim::dac_split(const std::int32_t* x,
 std::vector<std::int64_t> AnalogLayerSim::mvm(
     const std::vector<std::int32_t>& x) {
   return config_.use_plan ? mvm_packed(x) : mvm_dense(x);
+}
+
+/// The general (non-ideal) path over pairs [p0, p1) for a kCycles-cycle
+/// DAC stream. Per segment, each operand's DAC chunks are gathered once;
+/// per (segment, slice), each operand's level·variation (and, on a 1-bit
+/// DAC, its IR-drop divide) is computed once and fed to one lane per
+/// cycle. Lane t sums cycle t's analog column current in ascending row
+/// order — the dense scan's operand order for that cycle — as an
+/// independent dependency chain held in registers. Why every lane equals
+/// the dense scan's double bit for bit: see the file header of
+/// analog_mvm.hpp and DESIGN.md §12. The lane update multiplies by the
+/// chunk (never `ch ? w : 0.0`, which compiles to a mispredicting branch).
+template <int kCycles>
+void AnalogLayerSim::exec_general(const std::int32_t* x, std::int64_t p0,
+                                  std::int64_t p1, std::int64_t* pair_acc,
+                                  AdcCounters& counters) const {
+  const auto& cfg = layer_.config;
+  const int slices = cfg.slices();
+  const std::int32_t mask = (1 << cfg.dac_bits) - 1;
+  const bool hoist_divide = unit_denom_ || cfg.dac_bits == 1;
+  const std::uint64_t* seg = soa_seg_.data();
+  const std::int32_t* row = soa_row_.data();
+  std::vector<double> ch(std::max<std::size_t>(max_seg_len_, 1) * kCycles);
+  for (std::int64_t pi = p0; pi < p1; ++pi) {
+    std::int64_t acc = 0;
+    for (int pol = 0; pol < 2; ++pol) {
+      const std::size_t k =
+          2 * static_cast<std::size_t>(pi) + static_cast<std::size_t>(pol);
+      const std::size_t i0 = seg[k], len = seg[k + 1] - i0;
+      const std::size_t lbase = i0 * static_cast<std::size_t>(slices);
+      for (std::size_t i = 0; i < len; ++i) {
+        std::int32_t rest = x[row[i0 + i]];
+        for (int t = 0; t < kCycles; ++t) {
+          ch[i * kCycles + static_cast<std::size_t>(t)] =
+              static_cast<double>(rest & mask);
+          rest >>= cfg.dac_bits;
+        }
+      }
+      const double* denom = unit_denom_ ? nullptr : soa_denom_.data() + i0;
+      for (int s = 0; s < slices; ++s) {
+        const std::size_t sbase = lbase + static_cast<std::size_t>(s) * len;
+        const std::int32_t* lv = soa_level_.data() + sbase;
+        const float* vv = soa_var_.data() + sbase;
+        double lane[kCycles] = {};
+        if (hoist_divide) {
+          for (std::size_t i = 0; i < len; ++i) {
+            double w = static_cast<double>(lv[i]) * vv[i];
+            if (denom != nullptr) w /= denom[i];
+            const double* c = ch.data() + i * kCycles;
+            for (int t = 0; t < kCycles; ++t) lane[t] += c[t] * w;
+          }
+        } else {
+          for (std::size_t i = 0; i < len; ++i) {
+            const double w = static_cast<double>(lv[i]) * vv[i];
+            const double d = denom[i];
+            const double* c = ch.data() + i * kCycles;
+            for (int t = 0; t < kCycles; ++t) lane[t] += (c[t] * w) / d;
+          }
+        }
+        for (int t = 0; t < kCycles; ++t) {
+          const std::int64_t code = adc_.convert(lane[t], counters);
+          acc += (pol == 0 ? 1 : -1) *
+                 (code << (s * cfg.cell_bits + t * cfg.dac_bits));
+        }
+      }
+    }
+    pair_acc[pi] = acc;
+  }
 }
 
 void AnalogLayerSim::exec_pairs_soa(const std::int32_t* x,
@@ -586,10 +674,7 @@ void AnalogLayerSim::exec_pairs_soa(const std::int32_t* x,
       // segment, then a contiguous multiply-accumulate per slice over the
       // rectangular level stream (zeros contribute nothing, so the
       // rectangle is exact).
-      std::size_t max_len = 0;
-      for (std::size_t k = 0; k + 1 < soa_seg_.size(); ++k)
-        max_len = std::max(max_len, soa_seg_[k + 1] - soa_seg_[k]);
-      std::vector<std::int32_t> g(std::max<std::size_t>(max_len, 1));
+      std::vector<std::int32_t> g(std::max<std::size_t>(max_seg_len_, 1));
       const bool narrow = worst_plane_sum_ <= INT32_MAX;
       for (std::int64_t pi = p0; pi < p1; ++pi) {
         std::int64_t acc = 0;
@@ -629,43 +714,15 @@ void AnalogLayerSim::exec_pairs_soa(const std::int32_t* x,
       return;
     }
     case ExecPath::kGeneral: {
-      // Non-ideal datapath: float accumulation in exactly the dense scan's
-      // operand order — ascending active rows, skipping zero levels, one
-      // variation multiply and one IR-drop divide per operand (both exact
-      // identities when the corresponding non-ideality is off).
-      for (std::int64_t pi = p0; pi < p1; ++pi) {
-        std::int64_t acc = 0;
-        for (int pol = 0; pol < 2; ++pol) {
-          const std::size_t k =
-              2 * static_cast<std::size_t>(pi) + static_cast<std::size_t>(pol);
-          const std::size_t i0 = soa_seg_[k], len = soa_seg_[k + 1] - i0;
-          const std::size_t lbase = i0 * static_cast<std::size_t>(slices);
-          for (int s = 0; s < slices; ++s) {
-            const std::size_t sbase =
-                lbase + static_cast<std::size_t>(s) * len;
-            const std::int32_t* lv = soa_level_.data() + sbase;
-            const float* vv = soa_var_.data() + sbase;
-            for (int t = 0; t < cycles; ++t) {
-              const std::int32_t* ch =
-                  chunks + static_cast<std::size_t>(t) * n;
-              double analog = 0.0;
-              for (std::size_t i = 0; i < len; ++i) {
-                const std::int32_t level = lv[i];
-                if (level == 0) continue;
-                double contrib = static_cast<double>(level) *
-                                 ch[soa_row_[i0 + i]];
-                contrib *= vv[i];
-                contrib /= soa_denom_[i0 + i];
-                analog += contrib;
-              }
-              const std::int64_t code = adc_.convert(analog, counters);
-              acc += (pol == 0 ? 1 : -1) *
-                     (code << (s * cfg.cell_bits + t * cfg.dac_bits));
-            }
-          }
-        }
-        pair_acc[pi] = acc;
-      }
+      // Non-ideal datapath: exec_general instantiated for this layer's
+      // cycle count, so each plane's lanes are a fixed-size register block.
+      static constexpr auto kGeneral =
+          []<std::size_t... C>(std::index_sequence<C...>) {
+            return std::array{
+                &AnalogLayerSim::exec_general<static_cast<int>(C) + 1>...};
+          }(std::make_index_sequence<kMaxGeneralCycles>{});
+      (this->*kGeneral[static_cast<std::size_t>(cycles) - 1])(
+          x, p0, p1, pair_acc, counters);
       return;
     }
   }
@@ -727,13 +784,12 @@ std::vector<std::int64_t> AnalogLayerSim::mvm_packed(
   const int cycles = dac_cycles(cfg.input_bits, cfg.dac_bits);
   const std::size_t n = x.size();
   const bool aos = config_.plan_kernel == PlanKernel::kAos;
-  const bool needs_chunks = aos || (exec_path_ == ExecPath::kVector ||
-                                    exec_path_ == ExecPath::kGeneral);
+  const bool needs_chunks = aos || exec_path_ == ExecPath::kVector;
 
   // DAC chunks flattened into one contiguous buffer: chunk t of row r sits
   // at [t*n + r], so plan entries index a cycle's chunks directly by their
-  // packed row index. The fused and bitslice paths read the codes
-  // directly and skip the split (validation still runs).
+  // packed row index. The fused, bitslice and general paths read the
+  // codes directly and skip the split (validation still runs).
   std::vector<std::int32_t> chunks;
   if (needs_chunks) chunks.resize(static_cast<std::size_t>(cycles) * n);
   dac_split(x.data(), needs_chunks ? chunks.data() : nullptr);
@@ -843,7 +899,12 @@ std::vector<std::int64_t> AnalogLayerSim::mvm_dense(
             column_load = static_cast<double>(active) /
                           static_cast<double>(b.rows);
           }
-          std::int64_t acc = 0;
+          // Every (polarity, slice, cycle) analog sum first, then the
+          // conversions and the shift-and-add in the same order — keeping
+          // the inlined ADC out of the row scan keeps the scan's loop
+          // state in registers.
+          std::vector<double> sums;
+          sums.reserve(static_cast<std::size_t>(2 * slices * cycles));
           for (int polarity : {+1, -1}) {
             for (int s = 0; s < slices; ++s) {
               for (int t = 0; t < cycles; ++t) {
@@ -869,12 +930,17 @@ std::vector<std::int64_t> AnalogLayerSim::mvm_dense(
                   }
                   analog += contrib;
                 }
-                const std::int64_t code = adc_.convert(analog, counters);
-                acc += polarity *
-                       (code << (s * cfg.cell_bits + t * cfg.dac_bits));
+                sums.push_back(analog);
               }
             }
           }
+          std::int64_t acc = 0;
+          auto sum = sums.begin();
+          for (int polarity : {+1, -1})
+            for (int s = 0; s < slices; ++s)
+              for (int t = 0; t < cycles; ++t)
+                acc += polarity * (adc_.convert(*sum++, counters)
+                                   << (s * cfg.cell_bits + t * cfg.dac_bits));
           pair_acc[static_cast<std::size_t>(pi)] = acc;
         }
       });

@@ -38,8 +38,23 @@
 //   vector    ideal fallback (multi-bit DAC that may clip): per-cycle
 //             chunk gather + per-slice int64 multiply-accumulate over the
 //             rectangular level stream.
-//   general   non-ideal (variation / IR drop): ordered sweep skipping
-//             zero levels, bit-identical to the dense float accumulation.
+//   general   non-ideal (variation / IR drop): each operand's chunks are
+//             gathered once per segment and its level·variation (and, on
+//             a 1-bit DAC, its IR-drop divide) formed once per (segment,
+//             slice), feeding one branch-free lane per DAC cycle that sums
+//             in the dense scan's operand order. Each lane equals the
+//             dense double bit for bit:
+//             - exact numerator: cell_bits ≤ 8 and dac_bits ≤ 16 keep
+//               level·chunk < 2^24, and var is a float, so (level·chunk)·var
+//               and chunk·(level·var) are the same exact double;
+//             - divides: without IR drop every divisor is 1.0 and
+//               x/1.0 == x; on a 1-bit DAC chunk ∈ {0,1}, so the term is
+//               chunk·((level·var)/denom), one divide per operand;
+//             - +0.0 identity: zero levels, skipped by the dense scan, add
+//               +0.0, which changes no sum of non-negative terms (such a
+//               sum is never −0.0);
+//             - inline rounding: Adc::convert, the single rounding rule of
+//               every path, equals llround then the full-scale clamp.
 //
 // All paths are bit-identical — outputs AND ADC counters — to the dense
 // reference and to the retained AoS executor, at every thread count.
@@ -251,6 +266,11 @@ class AnalogLayerSim {
   void exec_pairs_aos(const std::int32_t* chunks, std::int64_t p0,
                       std::int64_t p1, std::int64_t* pair_acc,
                       AdcCounters& counters) const;
+  // The non-ideal general path, one instantiation per DAC cycle count
+  // (defined in analog_mvm.cpp).
+  template <int kCycles>
+  void exec_general(const std::int32_t* x, std::int64_t p0, std::int64_t p1,
+                    std::int64_t* pair_acc, AdcCounters& counters) const;
 
   std::vector<std::int64_t> mvm_packed(const std::vector<std::int32_t>& x);
   std::vector<std::int64_t> mvm_dense(const std::vector<std::int32_t>& x);
@@ -306,6 +326,10 @@ class AnalogLayerSim {
   std::vector<double> plan_denom_;         // entry → IR-drop divisor
 
   bool plan_ideal_ = false;  // no variation and no IR drop: integer datapath
+  // Every IR divisor is exactly 1.0, so the general path skips the divide
+  // (x / 1.0 == x). Taken from the streams, not the config, so a loaded
+  // plan divides exactly where its stored divisors say.
+  bool unit_denom_ = false;
   // Fused-path predicate: the worst-case plane sum (all chunks at full
   // scale) over every (pair, polarity, slice) plane. When it fits the
   // ADC's full scale no conversion can ever clip, so the shift-and-add
@@ -314,6 +338,7 @@ class AnalogLayerSim {
   // Largest worst-case fused per-polarity partial Σ |q|·x — when it fits
   // int32 the fused dot accumulates in 32-bit lanes (twice the SIMD width).
   std::int64_t worst_fused_sum_ = 0;
+  std::size_t max_seg_len_ = 0;  // longest segment: executor scratch size
   ExecPath exec_path_ = ExecPath::kVector;
   // Approximate per-MVM inner-loop work (weighted row slots; see
   // finalize_plan). Plans below the parallel threshold execute their pair

@@ -173,6 +173,28 @@ TEST(Format, SectionRoundTripAndMissingTag) {
   std::remove(path.c_str());
 }
 
+TEST(Format, EmptyArraysRoundTrip) {
+  // Zero-length arrays read back as empty vectors without touching the
+  // (possibly null) storage of the destination — the UBSan job checks that
+  // no memcpy to a null pointer happens on the way.
+  const std::string path = "artifact_format_empty_tmp.tadc";
+  {
+    ArtifactWriter w(path);
+    auto& a = w.section("EMPTY");
+    a.vec(std::vector<double>{});
+    a.vec_aligned(std::vector<float>{});
+    a.pod(std::int32_t{5});
+    w.finish();
+  }
+  ArtifactFile file(path);
+  auto r = file.section("EMPTY");
+  EXPECT_TRUE(r.vec<double>().empty());
+  EXPECT_EQ(r.arr_aligned<float>().size(), 0U);
+  EXPECT_EQ(r.pod<std::int32_t>(), 5);
+  EXPECT_EQ(r.remaining(), 0U);
+  std::remove(path.c_str());
+}
+
 TEST(Artifact, LoadedForwardAndCountersBitIdenticalNoRecompile) {
   Fixture f;
   const std::string path = "artifact_roundtrip_tmp.tadc";

@@ -3,6 +3,7 @@
 // bit-exact — "without introducing any computational inaccuracy".
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <tuple>
 
 #include "core/projection.hpp"
@@ -55,6 +56,48 @@ TEST(Adc, RoundsToNearestCode) {
   EXPECT_EQ(adc.convert(4.4), 4);
   EXPECT_EQ(adc.convert(4.6), 5);
   EXPECT_EQ(adc.convert(-0.4), 0);
+}
+
+TEST(Adc, InlineRoundingMatchesLlroundThenClamp) {
+  // The ADC's inline rounding must equal std::llround followed by the
+  // [0, full scale] clamp — code and clip count — on ties, the values
+  // just below them, full scale ± ½ and negative sums.
+  for (const int bits : {0, 1, 5, 8, 24}) {
+    const Adc adc(bits);
+    const double fs = static_cast<double>(adc.full_scale());
+    const double values[] = {0.0,
+                             -0.0,
+                             0.5,
+                             std::nextafter(0.5, 0.0),
+                             1.5,
+                             2.5,
+                             std::nextafter(2.5, 0.0),
+                             std::nextafter(2.5, 3.0),
+                             4503599627370495.5,  // 2^52 − ½
+                             fs,
+                             fs - 0.5,
+                             fs + 0.5,
+                             std::nextafter(fs + 0.5, 0.0),
+                             -0.5,
+                             -2.5,
+                             -1e9};
+    for (const double v : values) {
+      std::int64_t want = std::llround(v);
+      bool want_clip = false;
+      if (want < 0) want = 0;
+      if (bits == 0) want = 0;
+      if (want > adc.full_scale()) {
+        want = adc.full_scale();
+        want_clip = true;
+      }
+      AdcCounters counters;
+      EXPECT_EQ(adc.convert(v, counters), want) << "bits=" << bits
+                                                << " v=" << v;
+      EXPECT_EQ(counters.clip_events, want_clip ? 1 : 0)
+          << "bits=" << bits << " v=" << v;
+      EXPECT_EQ(counters.conversions, 1);
+    }
+  }
 }
 
 TEST(Adc, ZeroBitsDegenerate) {
