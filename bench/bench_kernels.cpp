@@ -158,6 +158,13 @@ BENCHMARK(BM_AnalogMvmCp)
 
 using bench::fnv1a;
 
+/// Folds one repetition's digest into a running digest. Order-sensitive,
+/// unlike XOR, under which an even number of identical repetitions
+/// cancels to 0 and the row would check nothing.
+std::uint64_t fold(std::uint64_t h, std::uint64_t digest) {
+  return (h ^ digest) * 1099511628211ULL;
+}
+
 /// A sweep kernel: does a fixed amount of work and returns a digest of its
 /// output bytes. The same kernel is run at each thread count; digests must
 /// match the 1-thread run exactly.
@@ -181,7 +188,8 @@ std::vector<SweepKernel> make_sweep_kernels() {
     std::uint64_t h = 0;
     for (int rep = 0; rep < 8; ++rep) {
       gemm(a, false, b, false, c);
-      h ^= fnv1a(c.data(), sizeof(float) * static_cast<std::size_t>(c.numel()));
+      h = fold(h, fnv1a(c.data(),
+                        sizeof(float) * static_cast<std::size_t>(c.numel())));
     }
     return h;
   }});
@@ -214,7 +222,7 @@ std::vector<SweepKernel> make_sweep_kernels() {
     std::uint64_t h = 0;
     for (int rep = 0; rep < 16; ++rep) {
       const auto y = sim.mvm(x);
-      h ^= fnv1a(y.data(), sizeof(y[0]) * y.size());
+      h = fold(h, fnv1a(y.data(), sizeof(y[0]) * y.size()));
     }
     return h;
   }});
@@ -248,7 +256,7 @@ std::vector<SweepKernel> make_sweep_kernels() {
       std::uint64_t h = 0;
       for (int rep = 0; rep < 16; ++rep) {
         const auto y = sim.mvm(*x);
-        h ^= fnv1a(y.data(), sizeof(y[0]) * y.size());
+        h = fold(h, fnv1a(y.data(), sizeof(y[0]) * y.size()));
       }
       return h;
     };
@@ -258,6 +266,39 @@ std::vector<SweepKernel> make_sweep_kernels() {
       kernels.push_back(
           {c.name, [sim, layer, sixteen_mvms] { return sixteen_mvms(*sim); }});
     }
+
+    // The serve path's batched entry point on the same ideal layer: 16
+    // mvm_batch calls on 8 samples (the fused sample lanes, one stream walk
+    // per 8-sample block), digest-checked against 8 per-sample mvm() calls
+    // per batch on a separate sim.
+    auto xs8 = std::make_shared<std::vector<std::int32_t>>(8 * 512);
+    for (auto& v : *xs8) v = static_cast<std::int32_t>(rng.uniform_int(256));
+    auto b8_sim = std::make_shared<msim::AnalogLayerSim>(
+        *layer, cp_bench_sim_config(1));
+    std::uint64_t b8_expect = 0;
+    {
+      msim::AnalogLayerSim ref(*layer, cp_bench_sim_config(1));
+      std::vector<std::int64_t> ys;
+      for (int s = 0; s < 8; ++s) {
+        const std::vector<std::int32_t> x(xs8->begin() + s * 512,
+                                          xs8->begin() + (s + 1) * 512);
+        const auto y = ref.mvm(x);
+        ys.insert(ys.end(), y.begin(), y.end());
+      }
+      for (int rep = 0; rep < 16; ++rep)
+        b8_expect =
+            fold(b8_expect, fnv1a(ys.data(), sizeof(ys[0]) * ys.size()));
+    }
+    const auto sixteen_batches = [b8_sim, layer, xs8] {
+      std::uint64_t h = 0;
+      for (int rep = 0; rep < 16; ++rep) {
+        const auto y = b8_sim->mvm_batch(*xs8, 8);
+        h = fold(h, fnv1a(y.data(), sizeof(y[0]) * y.size()));
+      }
+      return h;
+    };
+    kernels.push_back(
+        {"analog_mvm_cp16_fused_b8", sixteen_batches, b8_expect});
 
     // The same layer as a programmed chip (sigma = 0.1 conductance
     // variation): the plan runs the non-ideal general path, which must

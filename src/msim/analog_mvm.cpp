@@ -102,6 +102,103 @@ inline std::int64_t popcount_and_words(const std::uint64_t* a,
 #endif
 }
 
+/// The fused plan streams as the batched fused lanes read them.
+struct FusedStreams {
+  const std::uint64_t* seg;
+  const std::int32_t* row;
+  const std::int32_t* mag;
+  const std::int64_t* out;
+  std::size_t npairs;
+};
+
+/// The fused dot products of one block of kLanes samples: each pair's
+/// (row, magnitude) stream is read once and multiplied into one integer
+/// lane per sample. `xt` holds the block's codes as [row][lane], so a
+/// stream slot's lanes load contiguously and the lane loop vectorizes;
+/// the column sums are added into acc[column][lane]. Every lane sums its
+/// sample's terms in the per-sample order, and integer sums are exact in
+/// any order anyway, so each lane equals the single-sample fused result.
+/// Acc is int32 when the plan's worst fused partial fits it (twice the
+/// SIMD width), int64 otherwise.
+template <int kLanes, typename Acc>
+void fused_lanes(const FusedStreams& f, const std::int32_t* xt,
+                 std::int64_t* acc) {
+  for (std::size_t pi = 0; pi < f.npairs; ++pi) {
+    const std::size_t k0 = 2 * pi;
+    if (pi + 1 < f.npairs) {
+      // One pair ahead hides the stream-load latency behind this pair's
+      // arithmetic.
+      TINYADC_PREFETCH(f.mag + f.seg[k0 + 2]);
+      TINYADC_PREFETCH(f.row + f.seg[k0 + 2]);
+    }
+    std::int64_t sum[kLanes] = {};
+    for (std::size_t pol = 0; pol < 2; ++pol) {
+      Acc part[kLanes] = {};
+      for (std::size_t i = f.seg[k0 + pol]; i < f.seg[k0 + pol + 1]; ++i) {
+        const Acc m = f.mag[i];
+        const std::int32_t* x =
+            xt + static_cast<std::size_t>(f.row[i]) * kLanes;
+        for (int s = 0; s < kLanes; ++s) part[s] += m * x[s];
+      }
+      for (int s = 0; s < kLanes; ++s) sum[s] += pol == 0 ? part[s] : -part[s];
+    }
+    std::int64_t* a = acc + static_cast<std::size_t>(f.out[pi]) * kLanes;
+    for (int s = 0; s < kLanes; ++s) a[s] += sum[s];
+  }
+}
+
+/// fused_lanes at a runtime block width (8, 4 or 1).
+template <typename Acc>
+void fused_block(int lanes, const FusedStreams& f, const std::int32_t* xt,
+                 std::int64_t* acc) {
+  if (lanes == 8)
+    fused_lanes<8, Acc>(f, xt, acc);
+  else if (lanes == 4)
+    fused_lanes<4, Acc>(f, xt, acc);
+  else
+    fused_lanes<1, Acc>(f, xt, acc);
+}
+
+/// The value the quantizer sees for kPart: the value itself (0) or, for
+/// the signed two-phase split, its positive (+1) or negative (−1) part.
+template <int kPart>
+float signed_part(float v) {
+  if constexpr (kPart > 0) return v > 0.0F ? v : 0.0F;
+  if constexpr (kPart < 0) return v < 0.0F ? -v : 0.0F;
+  return v;
+}
+
+/// Quantizes `lanes` adjacent columns of a row-major (n × ld) matrix at
+/// `x` into dst[r·lanes + s]. Each row's lanes are contiguous, and the
+/// compile-time lane counts let the quantizer vectorize across them. `q` is
+/// a by-value copy so the int32 stores cannot alias it.
+template <int kPart>
+void quantize_block(const float* x, std::size_t ld, std::size_t n,
+                    std::size_t lanes, const xbar::QuantParams q,
+                    std::int32_t* dst) {
+  const auto block = [&]<std::size_t kLanes>() {
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t s = 0; s < kLanes; ++s)
+        dst[r * kLanes + s] =
+            xbar::quantize_unsigned(signed_part<kPart>(x[r * ld + s]), q);
+  };
+  if (lanes == 8)
+    block.template operator()<8>();
+  else if (lanes == 4)
+    block.template operator()<4>();
+  else
+    block.template operator()<1>();
+}
+
+/// Runs fn(i0, i1) over [0, count): inline when `serial`, else on the pool.
+template <typename Fn>
+void run_range(std::int64_t count, bool serial, const Fn& fn) {
+  if (serial)
+    fn(0, count);
+  else
+    runtime::parallel_for(0, count, 1, fn);
+}
+
 // Most DAC cycles the general path's lanes cover: input_bits ≤ 16 (the
 // mapping validator's envelope), so one cycle per input bit at most.
 constexpr int kMaxGeneralCycles = 16;
@@ -960,6 +1057,71 @@ std::vector<std::int64_t> AnalogLayerSim::mvm_dense(
   return y;
 }
 
+bool AnalogLayerSim::batch_serial(std::int64_t batch) const {
+  // A batch of tiny plans is still tiny work overall, and each per-sample
+  // mvm() already bypasses its own inner parallel_for, so fan out only
+  // when the whole batch clears the plan-work threshold. Dense
+  // (use_plan == false) batches have no plan estimate and always fan out —
+  // the dense scan is O(rows·cols) per sample and dwarfs the dispatch cost.
+  return config_.use_plan && batch * plan_work_ < kMinParallelPlanWork;
+}
+
+bool AnalogLayerSim::fused_batch_path() const {
+  return config_.use_plan && config_.plan_kernel != PlanKernel::kAos &&
+         exec_path_ == ExecPath::kFused;
+}
+
+template <typename Fill, typename Emit>
+void AnalogLayerSim::fused_batch(std::int64_t batch, int phases,
+                                 const Fill& fill, const Emit& emit) {
+  const auto n = static_cast<std::size_t>(layer_.rows);
+  const auto cols = static_cast<std::size_t>(layer_.cols);
+  const bool narrow = worst_fused_sum_ <= INT32_MAX;
+  const FusedStreams streams{soa_seg_.data(), soa_row_.data(),
+                             soa_mag_.data(), soa_out_.data(),
+                             soa_out_.size()};
+  const std::int64_t n8 = batch / 8;
+  const std::int64_t n4 = batch % 8 / 4;
+  const auto run_blocks = [&](std::int64_t k0, std::int64_t k1) {
+    std::vector<std::int32_t> xt[2];
+    std::vector<std::int64_t> acc[2];
+    for (std::int64_t k = k0; k < k1; ++k) {
+      const std::int64_t b0 = k < n8        ? 8 * k
+                              : k < n8 + n4 ? 8 * n8
+                                            : 8 * n8 + 4 * n4 + (k - n8 - n4);
+      const int lanes = k < n8 ? 8 : k < n8 + n4 ? 4 : 1;
+      const auto nl = static_cast<std::size_t>(lanes);
+      for (int p = 0; p < phases; ++p) {
+        xt[p].resize(nl * n);
+        acc[p].assign(nl * cols, 0);
+      }
+      fill(b0, lanes, xt[0].data(), xt[1].data());
+      for (int p = 0; p < phases; ++p) {
+        if (narrow)
+          fused_block<std::int32_t>(lanes, streams, xt[p].data(),
+                                    acc[p].data());
+        else
+          fused_block<std::int64_t>(lanes, streams, xt[p].data(),
+                                    acc[p].data());
+      }
+      emit(b0, lanes, acc[0].data(), acc[1].data());
+    }
+  };
+  run_range(n8 + n4 + batch % 4, batch_serial(batch), run_blocks);
+
+  // Counters are exact multiples of the single-sample fused counts:
+  // 2·slices·cycles conversions per pair per MVM, zero clips by the fused
+  // predicate; each phase is one MVM per sample.
+  const auto& cfg = layer_.config;
+  const int cycles = dac_cycles(cfg.input_bits, cfg.dac_bits);
+  const std::int64_t mvms = batch * phases;
+  AdcCounters call_counters;
+  call_counters.conversions = mvms *
+                              static_cast<std::int64_t>(soa_out_.size()) * 2 *
+                              cfg.slices() * cycles;
+  merge_stats(call_counters, static_cast<std::int64_t>(cycles) * mvms);
+}
+
 std::vector<std::int64_t> AnalogLayerSim::mvm_batch(
     const std::vector<std::int32_t>& xs, std::int64_t batch) {
   TINYADC_CHECK(batch >= 0, "negative batch");
@@ -971,92 +1133,47 @@ std::vector<std::int64_t> AnalogLayerSim::mvm_batch(
   std::vector<std::int64_t> y(static_cast<std::size_t>(batch) * cols, 0);
   if (batch == 0) return y;
 
-  const bool fused_batch = config_.use_plan &&
-                           config_.plan_kernel != PlanKernel::kAos &&
-                           exec_path_ == ExecPath::kFused;
-  // Sample-parallel dispatch threshold: a batch of tiny plans is still
-  // tiny work overall, and each per-sample mvm() already bypasses its own
-  // inner parallel_for, so fan the samples out only when the whole batch
-  // clears the plan-work threshold. Dense (use_plan == false) batches have
-  // no plan estimate and always fan out — the dense scan is O(rows·cols)
-  // per sample and dwarfs the dispatch cost.
-  const bool batch_serial =
-      config_.use_plan && batch * plan_work_ < kMinParallelPlanWork;
-
-  if (!fused_batch) {
-    // Generic fallback: per-sample executors run inline under a
-    // sample-parallel loop (nested parallel_for serializes). Each sample
-    // merges its own statistics — integer counter sums, so the totals are
-    // identical to `batch` sequential mvm() calls at any thread count.
-    const auto run_samples = [&](std::int64_t b0, std::int64_t b1) {
-      std::vector<std::int32_t> x(n);
-      for (std::int64_t si = b0; si < b1; ++si) {
-        const std::int32_t* src = xs.data() + static_cast<std::size_t>(si) * n;
-        x.assign(src, src + n);
-        const auto yi = mvm(x);
-        std::copy(yi.begin(), yi.end(),
-                  y.begin() + static_cast<std::ptrdiff_t>(
-                                  static_cast<std::size_t>(si) * cols));
-      }
-    };
-    if (batch_serial)
-      run_samples(0, batch);
-    else
-      runtime::parallel_for(0, batch, 1, run_samples);
+  if (!fused_batch_path()) {
+    // Per-sample executors run inline under a sample-parallel loop (nested
+    // parallel_for serializes). Each sample merges its own statistics —
+    // integer counter sums, so the totals are identical to `batch`
+    // sequential mvm() calls at any thread count.
+    run_range(batch, batch_serial(batch),
+              [&](std::int64_t b0, std::int64_t b1) {
+                std::vector<std::int32_t> x(n);
+                for (std::int64_t si = b0; si < b1; ++si) {
+                  const auto s = static_cast<std::size_t>(si);
+                  x.assign(xs.begin() + s * n, xs.begin() + (s + 1) * n);
+                  const auto yi = mvm(x);
+                  std::copy(yi.begin(), yi.end(), y.begin() + s * cols);
+                }
+              });
     return y;
   }
 
-  // Fused batch: one serial pair walk per sample with the plan streams
-  // shared read-only across samples (the serve path's hot lane). Counters
-  // are exact multiples of the single-sample fused counts: 2·slices·cycles
-  // conversions per pair per sample, zero clips by the fused predicate.
-  const auto& cfg = layer_.config;
-  const int cycles = dac_cycles(cfg.input_bits, cfg.dac_bits);
-  const auto npairs = soa_out_.size();
-  const bool narrow = worst_fused_sum_ <= INT32_MAX;
-  const auto run_samples = [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t si = b0; si < b1; ++si) {
-      const std::int32_t* x = xs.data() + static_cast<std::size_t>(si) * n;
-      std::int64_t* yrow = y.data() + static_cast<std::size_t>(si) * cols;
-      dac_split(x, nullptr);  // validation only
-      for (std::size_t pi = 0; pi < npairs; ++pi) {
-        const std::size_t k0 = 2 * pi;
-        if (pi + 1 < npairs) {
-          const std::size_t nx = soa_seg_[k0 + 2];
-          TINYADC_PREFETCH(soa_mag_.data() + nx);
-          TINYADC_PREFETCH(soa_row_.data() + nx);
-        }
-        std::int64_t acc = 0;
-        for (int pol = 0; pol < 2; ++pol) {
-          const std::size_t i0 = soa_seg_[k0 + static_cast<std::size_t>(pol)];
-          const std::size_t i1 =
-              soa_seg_[k0 + static_cast<std::size_t>(pol) + 1];
-          std::int64_t part;
-          if (narrow) {
-            std::int32_t p32 = 0;
-            for (std::size_t i = i0; i < i1; ++i)
-              p32 += soa_mag_[i] * x[soa_row_[i]];
-            part = p32;
-          } else {
-            std::int64_t p64 = 0;
-            for (std::size_t i = i0; i < i1; ++i)
-              p64 += static_cast<std::int64_t>(soa_mag_[i]) * x[soa_row_[i]];
-            part = p64;
-          }
-          acc += pol == 0 ? part : -part;
-        }
-        yrow[static_cast<std::size_t>(soa_out_[pi])] += acc;
+  const int code_bits = std::min(layer_.config.input_bits, 31);
+  const auto fill = [&](std::int64_t b0, int lanes, std::int32_t* xt,
+                        std::int32_t*) {
+    const auto nl = static_cast<std::size_t>(lanes);
+    const std::int32_t* x = xs.data() + static_cast<std::size_t>(b0) * n;
+    std::uint32_t high = 0;
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t s = 0; s < nl; ++s) {
+        xt[r * nl + s] = x[s * n + r];
+        high |= static_cast<std::uint32_t>(x[s * n + r]) >> code_bits;
       }
-    }
+    // Out-of-range codes: dac_split's range check reports the first one.
+    if (high != 0)
+      for (std::size_t s = 0; s < nl; ++s) dac_split(x + s * n, nullptr);
   };
-  if (batch_serial)
-    run_samples(0, batch);
-  else
-    runtime::parallel_for(0, batch, 1, run_samples);
-  AdcCounters call_counters;
-  call_counters.conversions = batch * static_cast<std::int64_t>(npairs) * 2 *
-                              cfg.slices() * cycles;
-  merge_stats(call_counters, static_cast<std::int64_t>(cycles) * batch);
+  const auto emit = [&](std::int64_t b0, int lanes, const std::int64_t* acc,
+                        const std::int64_t*) {
+    const auto nl = static_cast<std::size_t>(lanes);
+    std::int64_t* yb = y.data() + static_cast<std::size_t>(b0) * cols;
+    for (std::size_t o = 0; o < cols; ++o)
+      for (std::size_t s = 0; s < nl; ++s) yb[s * cols + o] = acc[o * nl + s];
+  };
+  fused_batch(batch, 1, fill, emit);
   return y;
 }
 
@@ -1101,41 +1218,92 @@ std::vector<float> AnalogLayerSim::mvm_real_batch(
   TINYADC_CHECK(static_cast<std::int64_t>(xs.size()) == batch * layer_.rows,
                 "batched input holds " << xs.size() << " values, expected "
                                        << batch * layer_.rows);
-  const float scale = x_quant.scale * layer_.quant.scale;
-  if (!signed_input) {
-    std::vector<std::int32_t> codes(xs.size());
-    for (std::size_t i = 0; i < xs.size(); ++i)
-      codes[i] = xbar::quantize_unsigned(xs[i], x_quant);
-    const auto y = mvm_batch(codes, batch);
-    std::vector<float> out(y.size());
-    for (std::size_t i = 0; i < y.size(); ++i)
-      out[i] = static_cast<float>(y[i]) * scale;
-    return out;
-  }
-  // Two-phase signed scheme, element-for-element the mvm_real_signed split:
-  // quantize the positive and negative parts separately, stream each, and
-  // subtract the *scaled* results (same float rounding as the per-sample
-  // path).
-  std::vector<std::int32_t> pos(xs.size()), neg(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const float v = xs[i];
-    pos[i] = xbar::quantize_unsigned(v > 0.0F ? v : 0.0F, x_quant);
-    neg[i] = xbar::quantize_unsigned(v < 0.0F ? -v : 0.0F, x_quant);
-  }
-  const auto yp = mvm_batch(pos, batch);
-  const auto yn = mvm_batch(neg, batch);
-  // Round each product through its vector store before subtracting — the
-  // per-sample path scales inside mvm_real and subtracts afterwards, so
-  // writing `p*scale - n*scale` as one expression here would let
-  // -ffp-contract=fast fuse the first product into the subtract on FMA
-  // targets and skip a rounding, breaking batched-vs-per-sample identity.
-  std::vector<float> out(yp.size()), yns(yn.size());
-  for (std::size_t i = 0; i < yp.size(); ++i)
-    out[i] = static_cast<float>(yp[i]) * scale;
-  for (std::size_t i = 0; i < yn.size(); ++i)
-    yns[i] = static_cast<float>(yn[i]) * scale;
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] -= yns[i];
+  // Row-major samples in and out, through the column entry point (pure
+  // data moves, so the results are the same bits).
+  const auto n = static_cast<std::size_t>(layer_.rows);
+  const auto cols = static_cast<std::size_t>(layer_.cols);
+  const auto b = static_cast<std::size_t>(batch);
+  Tensor x_cols({layer_.rows, batch});
+  for (std::size_t s = 0; s < b; ++s)
+    for (std::size_t r = 0; r < n; ++r)
+      x_cols.data()[r * b + s] = xs[s * n + r];
+  const Tensor y = mvm_real_columns(x_cols, x_quant, signed_input);
+  std::vector<float> out(b * cols);
+  for (std::size_t s = 0; s < b; ++s)
+    for (std::size_t c = 0; c < cols; ++c)
+      out[s * cols + c] = y.data()[c * b + s];
   return out;
+}
+
+Tensor AnalogLayerSim::mvm_real_columns(const Tensor& x_cols,
+                                        const xbar::QuantParams& x_quant,
+                                        bool signed_input) {
+  TINYADC_CHECK(x_cols.ndim() == 2 && x_cols.dim(0) == layer_.rows,
+                "column batch " << shape_to_string(x_cols.shape())
+                                << " does not have " << layer_.rows
+                                << " rows");
+  const std::int64_t batch = x_cols.dim(1);
+  const auto b = static_cast<std::size_t>(batch);
+  const auto n = static_cast<std::size_t>(layer_.rows);
+  const auto cols = static_cast<std::size_t>(layer_.cols);
+  const float* xs = x_cols.data();
+  Tensor result({layer_.cols, batch});
+  float* res = result.data();
+  if (batch == 0) return result;
+
+  if (!fused_batch_path()) {
+    // Per-sample mvm_real / mvm_real_signed calls: the reference itself.
+    run_range(batch, batch_serial(batch),
+              [&](std::int64_t b0, std::int64_t b1) {
+                std::vector<float> x(n);
+                for (auto s = static_cast<std::size_t>(b0);
+                     s < static_cast<std::size_t>(b1); ++s) {
+                  for (std::size_t r = 0; r < n; ++r) x[r] = xs[r * b + s];
+                  const auto y = signed_input ? mvm_real_signed(x, x_quant)
+                                              : mvm_real(x, x_quant);
+                  for (std::size_t c = 0; c < cols; ++c) res[c * b + s] = y[c];
+                }
+              });
+    return result;
+  }
+
+  // Fused: each block's codes are quantized straight from the matrix rows
+  // into its lane buffer, so no batch-sized code array exists. The signed
+  // two-phase scheme streams the positive and the negative part as two
+  // phases, element for element the mvm_real_signed split.
+  const float scale = x_quant.scale * layer_.quant.scale;
+  const auto fill = [&](std::int64_t b0, int lanes, std::int32_t* pos,
+                        std::int32_t* neg) {
+    const float* x = xs + b0;
+    const auto nl = static_cast<std::size_t>(lanes);
+    if (!signed_input) {
+      quantize_block<0>(x, b, n, nl, x_quant, pos);
+      return;
+    }
+    quantize_block<+1>(x, b, n, nl, x_quant, pos);
+    quantize_block<-1>(x, b, n, nl, x_quant, neg);
+  };
+  const auto emit = [&](std::int64_t b0, int lanes, const std::int64_t* accp,
+                        const std::int64_t* accn) {
+    const auto nl = static_cast<std::size_t>(lanes);
+    for (std::size_t o = 0; o < cols; ++o) {
+      float* ro = res + o * b + static_cast<std::size_t>(b0);
+      for (std::size_t s = 0; s < nl; ++s)
+        ro[s] = static_cast<float>(accp[o * nl + s]) * scale;
+      if (!signed_input) continue;
+      // Round each product through a store before subtracting — the
+      // per-sample path scales inside mvm_real and subtracts afterwards, so
+      // `p*scale - n*scale` as one expression would let -ffp-contract=fast
+      // fuse the first product into the subtract on FMA targets and skip a
+      // rounding, breaking batched-vs-per-sample identity.
+      float yn[8];
+      for (std::size_t s = 0; s < nl; ++s)
+        yn[s] = static_cast<float>(accn[o * nl + s]) * scale;
+      for (std::size_t s = 0; s < nl; ++s) ro[s] -= yn[s];
+    }
+  };
+  fused_batch(batch, signed_input ? 2 : 1, fill, emit);
+  return result;
 }
 
 void AnalogLayerSim::reset_stats() {

@@ -169,9 +169,10 @@ class AnalogLayerSim {
   /// Batched integer MVM: `xs` holds `batch` row-major samples of
   /// layer-rows codes each; the result holds `batch` rows of layer-cols
   /// sums. Equivalent to `batch` mvm() calls (outputs and statistics
-  /// bit-identical, dac_cycles advances once per sample), but walks the
-  /// plan streams once per (pair, sample) tile with the samples in the
-  /// inner loop — the serve path's multi-column fast lane.
+  /// bit-identical, dac_cycles advances once per sample). On the fused
+  /// path it walks the plan streams once per block of up to 8 samples,
+  /// one integer lane per sample — the serve path's multi-column fast
+  /// lane; other paths run per-sample mvm() calls.
   std::vector<std::int64_t> mvm_batch(const std::vector<std::int32_t>& xs,
                                       std::int64_t batch);
 
@@ -195,6 +196,14 @@ class AnalogLayerSim {
                                     std::int64_t batch,
                                     const xbar::QuantParams& x_quant,
                                     bool signed_input);
+
+  /// mvm_real_batch over the columns of a (layer-rows × batch) matrix — a
+  /// conv's im2col patch matrix, one sample per column — returning the
+  /// (layer-cols × batch) result matrix. The fused path quantizes each
+  /// block of up to 8 columns straight from the matrix rows into its sample
+  /// lanes, so no transposed copy or batch-sized code array is made.
+  Tensor mvm_real_columns(const Tensor& x_cols,
+                          const xbar::QuantParams& x_quant, bool signed_input);
 
   /// The ADC resolution in use.
   int adc_bits() const { return adc_.bits(); }
@@ -271,6 +280,20 @@ class AnalogLayerSim {
   template <int kCycles>
   void exec_general(const std::int32_t* x, std::int64_t p0, std::int64_t p1,
                     std::int64_t* pair_acc, AdcCounters& counters) const;
+
+  // Batch dispatch: fan samples out only above the plan-work threshold;
+  // the fused sample lanes serve the fused path (see fused_batch).
+  bool batch_serial(std::int64_t batch) const;
+  bool fused_batch_path() const;
+  // The fused batch: samples run in blocks of 8, 4 or 1 lanes (the widest
+  // the samples left fill). Per block, fill(b0, lanes, pos, neg) writes
+  // the codes of each of `phases` input phases (neg only when the signed
+  // split streams two) as [row][lane]; the block's column sums, as
+  // [column][lane], go to emit(b0, lanes, acc_pos, acc_neg). Defined in
+  // analog_mvm.cpp.
+  template <typename Fill, typename Emit>
+  void fused_batch(std::int64_t batch, int phases, const Fill& fill,
+                   const Emit& emit);
 
   std::vector<std::int64_t> mvm_packed(const std::vector<std::int32_t>& x);
   std::vector<std::int64_t> mvm_dense(const std::vector<std::int32_t>& x);

@@ -25,50 +25,16 @@ constexpr std::uint32_t kCalibSectionVersion = 1;
 
 std::atomic<std::int64_t> g_calibration_runs{0};
 
-/// Analog execution of one conv lowering: `cols` is the (taps × pixels)
-/// patch matrix, each pixel an independent MVM (disjoint output columns;
-/// the sim's statistics merge is commutative), so pixels run on the
-/// worker pool.
-Tensor analog_conv_mvm(AnalogLayerSim& sim, const Tensor& cols,
-                       const xbar::QuantParams& quant, bool signed_input,
-                       std::int64_t out_ch) {
-  const std::int64_t rows = cols.dim(0);
-  const std::int64_t pixels = cols.dim(1);
-  // Gather the patch matrix into row-major samples and stream the whole
-  // pixel batch through the plan in one call (parallel inside, fused
-  // sample loop on the clip-free path) — bit-identical to per-pixel calls.
-  std::vector<float> xs(static_cast<std::size_t>(rows * pixels));
-  for (std::int64_t p = 0; p < pixels; ++p)
-    for (std::int64_t r = 0; r < rows; ++r)
-      xs[static_cast<std::size_t>(p * rows + r)] = cols.at(r, p);
-  const auto y = sim.mvm_real_batch(xs, pixels, quant, signed_input);
-  const auto ycols = static_cast<std::int64_t>(y.size()) / std::max<
-      std::int64_t>(pixels, 1);
-  Tensor out({out_ch, pixels});
-  for (std::int64_t p = 0; p < pixels; ++p)
-    for (std::int64_t f = 0; f < out_ch; ++f)
-      out.at(f, p) = y[static_cast<std::size_t>(p * ycols + f)];
-  return out;
-}
-
 /// Analog execution of one linear layer: batch samples are independent
-/// MVMs — same batched contract as the conv pixel loop.
+/// MVMs, already laid out as row-major samples.
 Tensor analog_linear_mvm(AnalogLayerSim& sim, const Tensor& input,
                          const xbar::QuantParams& quant, bool signed_input,
                          std::int64_t out_features) {
   const std::int64_t batch = input.dim(0);
-  const std::int64_t in_features = input.dim(1);
-  std::vector<float> xs(static_cast<std::size_t>(batch * in_features));
-  for (std::int64_t n = 0; n < batch; ++n)
-    for (std::int64_t k = 0; k < in_features; ++k)
-      xs[static_cast<std::size_t>(n * in_features + k)] = input.at(n, k);
+  const std::vector<float> xs(input.data(), input.data() + input.numel());
   const auto y = sim.mvm_real_batch(xs, batch, quant, signed_input);
-  const auto ycols = static_cast<std::int64_t>(y.size()) / std::max<
-      std::int64_t>(batch, 1);
   Tensor out({batch, out_features});
-  for (std::int64_t n = 0; n < batch; ++n)
-    for (std::int64_t o = 0; o < out_features; ++o)
-      out.at(n, o) = y[static_cast<std::size_t>(n * ycols + o)];
+  std::copy(y.begin(), y.end(), out.data());
   return out;
 }
 
@@ -211,8 +177,9 @@ void AnalogNetwork::install_hooks() {
           if (min_value(cols) < 0.0F) signed_input_[i] = true;
           return std::nullopt;  // float path computes the result
         }
-        return analog_conv_mvm(*sims_[i], cols, act_quant_[i],
-                               signed_input_[i], net_.layers[i].cols);
+        // The whole batch's patch matrix, one pixel MVM per column.
+        return sims_[i]->mvm_real_columns(cols, act_quant_[i],
+                                          signed_input_[i]);
       });
     } else if (auto* fc = dynamic_cast<nn::Linear*>(&layer)) {
       const std::size_t i = index++;
@@ -247,11 +214,21 @@ void AnalogNetwork::calibrate(const data::Dataset& sample,
   mode_ = Mode::kCalibrate;
   std::fill(observed_max_.begin(), observed_max_.end(), 0.0F);
   std::fill(signed_input_.begin(), signed_input_.end(), false);
+  // Forward in chunks: every conv hook sees one chunk's whole patch matrix,
+  // so the chunk bounds the transient memory. Observed maxima and signs do
+  // not depend on the chunking, and neither do the float activations: the
+  // declining conv hooks fall back to per-sample GEMMs, and a chunk size
+  // that is a multiple of the GEMM's 4-row register tile keeps every
+  // Linear row on the same kernel path.
+  constexpr std::int64_t kChunk = 16;
   const auto n = std::min<std::int64_t>(sample.size(), max_images);
-  std::vector<std::size_t> idx(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  const auto subset = sample.subset(idx);
-  (void)model_.forward(subset.images, /*training=*/false);
+  for (std::int64_t c0 = 0; c0 < n; c0 += kChunk) {
+    const std::int64_t c1 = std::min(n, c0 + kChunk);
+    std::vector<std::size_t> idx;
+    for (std::int64_t i = c0; i < c1; ++i)
+      idx.push_back(static_cast<std::size_t>(i));
+    (void)model_.forward(sample.subset(idx).images, /*training=*/false);
+  }
   for (std::size_t i = 0; i < act_quant_.size(); ++i)
     act_quant_[i] = xbar::fit_unsigned(
         observed_max_[i] > 0.0F ? observed_max_[i] : 1.0F,
@@ -299,8 +276,8 @@ AnalogSession::AnalogSession(const AnalogNetwork& compiled)
     if (auto* conv = dynamic_cast<nn::Conv2d*>(&layer)) {
       const std::size_t i = index++;
       conv->set_mvm_hook([c, i](const Tensor& cols) -> std::optional<Tensor> {
-        return analog_conv_mvm(*c->sims()[i], cols, c->activation_quant()[i],
-                               c->signed_input()[i], c->net().layers[i].cols);
+        return c->sims()[i]->mvm_real_columns(
+            cols, c->activation_quant()[i], c->signed_input()[i]);
       });
     } else if (auto* fc = dynamic_cast<nn::Linear*>(&layer)) {
       const std::size_t i = index++;

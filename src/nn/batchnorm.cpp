@@ -62,16 +62,21 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool training) {
 
   Tensor output(input_shape_);
   Tensor inv_std({channels_});
+  const float* mean_d = mean.data();
+  const float* var_d = var.data();
+  float* inv_std_d = inv_std.data();
   for (std::int64_t c = 0; c < channels_; ++c)
-    inv_std.at(c) = 1.0F / std::sqrt(var.at(c) + eps_);
+    inv_std_d[c] = 1.0F / std::sqrt(var_d[c] + eps_);
 
   Tensor xhat = training ? Tensor(input_shape_) : Tensor();
+  const float* gamma_d = gamma_.value.data();
+  const float* beta_d = beta_.value.data();
   for (std::int64_t b = 0; b < n; ++b) {
     for (std::int64_t c = 0; c < channels_; ++c) {
-      const float m = mean.at(c);
-      const float is = inv_std.at(c);
-      const float g = gamma_.value.at(c);
-      const float bt = beta_.value.at(c);
+      const float m = mean_d[c];
+      const float is = inv_std_d[c];
+      const float g = gamma_d[c];
+      const float bt = beta_d[c];
       const float* in = input.data() + (b * channels_ + c) * hw;
       float* out = output.data() + (b * channels_ + c) * hw;
       float* xh = training ? xhat.data() + (b * channels_ + c) * hw : nullptr;

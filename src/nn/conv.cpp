@@ -88,13 +88,55 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
                        kernel_,      kernel_,      stride_,
                        padding_};
   input_shape_ = input.shape();
-  const bool use_hook = !training && mvm_hook_ != nullptr;
-  // The MVM hook consumes one per-sample patch matrix at a time (the analog
-  // backend's contract), so hooked inference always takes the per-sample
-  // path; everything else runs batched unless the reference path was
-  // requested explicitly.
-  if (!use_hook && use_batched_) return forward_batched(input, training);
-  return forward_reference(input, training, use_hook);
+  if (!training && mvm_hook_ != nullptr) return forward_hooked(input);
+  if (use_batched_) return forward_batched(input, training);
+  return forward_reference(input, training);
+}
+
+Tensor Conv2d::forward_hooked(const Tensor& input) {
+  const std::int64_t batch = input.dim(0);
+  const std::int64_t p = geom_.out_h() * geom_.out_w();
+  cols_.clear();
+  cache_valid_ = false;
+  // The whole batch goes to the hook as one patch matrix; a transient
+  // tensor rather than ws_cols_, so a large calibration batch leaves no
+  // grown workspace behind.
+  Tensor cols({geom_.patch_rows(), batch * p});
+  im2col_batch(input.data(), batch, geom_, cols.data());
+  const std::optional<Tensor> hooked = mvm_hook_(cols);
+  // Declined (e.g. activation calibration): the per-sample reference GEMMs
+  // give the float result. The batched GEMM would not do: it is not bit-
+  // equal to them for every shape, and calibrated ranges must not depend
+  // on which path ran.
+  if (!hooked.has_value()) return forward_reference(input, false);
+  TINYADC_CHECK(hooked->numel() == out_channels_ * batch * p,
+                "Conv2d " << name() << ": MVM hook returned "
+                          << shape_to_string(hooked->shape()) << ", expected ["
+                          << out_channels_ << ", " << batch * p << "]");
+  return scatter_output(hooked->data(), batch);
+}
+
+Tensor Conv2d::scatter_output(const float* src_base, std::int64_t batch) const {
+  const std::int64_t oh = geom_.out_h();
+  const std::int64_t ow = geom_.out_w();
+  const std::int64_t p = oh * ow;
+  const std::int64_t bp = batch * p;
+  // Scatter [F, N·p] → (N, F, oh, ow), folding the bias in. Samples write
+  // disjoint output blocks.
+  Tensor output({batch, out_channels_, oh, ow});
+  float* dst_base = output.data();
+  const float* b = has_bias_ ? bias_.value.data() : nullptr;
+  runtime::parallel_for(0, batch, 1, [&](std::int64_t n0, std::int64_t n1) {
+    for (std::int64_t n = n0; n < n1; ++n) {
+      float* dst = dst_base + n * out_channels_ * p;
+      for (std::int64_t f = 0; f < out_channels_; ++f) {
+        const float* src = src_base + f * bp + n * p;
+        const float bias_f = b != nullptr ? b[f] : 0.0F;
+        for (std::int64_t i = 0; i < p; ++i) dst[f * p + i] = src[i] + bias_f;
+      }
+    }
+  });
+  return output;
 }
 
 Tensor Conv2d::forward_batched(const Tensor& input, bool training) {
@@ -112,23 +154,7 @@ Tensor Conv2d::forward_batched(const Tensor& input, bool training) {
   ensure_workspace(ws_out2d_, {out_channels_, bp});
   gemm(w2d, false, ws_cols_, false, ws_out2d_);
 
-  // Scatter [F, N·p] → (N, F, oh, ow), folding the bias in. Samples write
-  // disjoint output blocks.
-  Tensor output({batch, out_channels_, oh, ow});
-  float* dst_base = output.data();
-  const float* src_base = ws_out2d_.data();
-  const float* b = has_bias_ ? bias_.value.data() : nullptr;
-  runtime::parallel_for(0, batch, 1, [&](std::int64_t n0, std::int64_t n1) {
-    for (std::int64_t n = n0; n < n1; ++n) {
-      float* dst = dst_base + n * out_channels_ * p;
-      for (std::int64_t f = 0; f < out_channels_; ++f) {
-        const float* src = src_base + f * bp + n * p;
-        const float bias_f = b != nullptr ? b[f] : 0.0F;
-        for (std::int64_t i = 0; i < p; ++i) dst[f * p + i] = src[i] + bias_f;
-      }
-    }
-  });
-
+  Tensor output = scatter_output(ws_out2d_.data(), batch);
   cols_.clear();
   // Inference must not leave a stale training cache behind: a backward
   // without a fresh training forward asserts instead of reusing old cols.
@@ -136,8 +162,7 @@ Tensor Conv2d::forward_batched(const Tensor& input, bool training) {
   return output;
 }
 
-Tensor Conv2d::forward_reference(const Tensor& input, bool training,
-                                 bool use_hook) {
+Tensor Conv2d::forward_reference(const Tensor& input, bool training) {
   const std::int64_t batch = input.dim(0);
   const std::int64_t oh = geom_.out_h();
   const std::int64_t ow = geom_.out_w();
@@ -160,18 +185,7 @@ Tensor Conv2d::forward_reference(const Tensor& input, bool training,
               image.data());
     Tensor cols = im2col(image, geom_);
     Tensor out2d({out_channels_, p});
-    std::optional<Tensor> hooked;
-    if (use_hook) hooked = mvm_hook_(cols);
-    if (hooked.has_value()) {
-      TINYADC_CHECK(hooked->numel() == out2d.numel(),
-                    "Conv2d " << name() << ": MVM hook returned "
-                              << shape_to_string(hooked->shape())
-                              << ", expected "
-                              << shape_to_string(out2d.shape()));
-      out2d.copy_from(*hooked);
-    } else {
-      gemm(w2d, false, cols, false, out2d);
-    }
+    gemm(w2d, false, cols, false, out2d);
     float* dst = output.data() + n * out_channels_ * p;
     const float* src = out2d.data();
     if (has_bias_) {
@@ -185,19 +199,11 @@ Tensor Conv2d::forward_reference(const Tensor& input, bool training,
     if (training) cols_[static_cast<std::size_t>(n)] = std::move(cols);
   };
 
-  if (use_hook) {
-    // Hooked inference stays serial here; the analog backend parallelizes
-    // inside the hook (per pixel / per sample — see msim::AnalogNetwork).
-    for (std::int64_t n = 0; n < batch; ++n) run_sample(n);
-  } else {
-    // Samples are independent (disjoint output and cache slots), so the
-    // batch fans out; the per-sample gemm then runs inline on its worker.
-    runtime::parallel_for(0, batch, 1,
-                          [&](std::int64_t n0, std::int64_t n1) {
-                            for (std::int64_t n = n0; n < n1; ++n)
-                              run_sample(n);
-                          });
-  }
+  // Samples are independent (disjoint output and cache slots), so the
+  // batch fans out; the per-sample gemm then runs inline on its worker.
+  runtime::parallel_for(0, batch, 1, [&](std::int64_t n0, std::int64_t n1) {
+    for (std::int64_t n = n0; n < n1; ++n) run_sample(n);
+  });
   return output;
 }
 

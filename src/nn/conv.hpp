@@ -14,7 +14,7 @@ namespace tinyadc::nn {
 /// flattens to the 2-D (C·Kh·Kw) × F matrix the crossbar mapper consumes
 /// (each 2-D column = one filter, matching Fig. 3 of the paper).
 ///
-/// Two execution paths:
+/// Three execution paths:
 ///  * **batched** (default): the whole batch is lowered into one
 ///    (patch_rows × batch·patch_cols) matrix held in a persistent grow-only
 ///    workspace — one GEMM for forward, two for backward, no per-sample
@@ -23,6 +23,10 @@ namespace tinyadc::nn {
 ///  * **reference**: the original per-sample loop, retained as the golden
 ///    path for gradient checks and the bench before/after pairs
 ///    (set_batched(false) — mirrors MsimConfig::use_plan).
+///  * **hooked** (inference with an MvmHook installed, either setting of
+///    set_batched): the whole batch is lowered once and offered to the
+///    hook in a single call. If the hook declines, the reference path
+///    computes the output, so a declining hook is invisible in the result.
 class Conv2d final : public Layer {
  public:
   /// Constructs with Kaiming initialization.
@@ -82,9 +86,12 @@ class Conv2d final : public Layer {
          std::int64_t out_channels, std::int64_t kernel, std::int64_t stride,
          std::int64_t padding, bool bias);
 
+  Tensor forward_hooked(const Tensor& input);
   Tensor forward_batched(const Tensor& input, bool training);
   Tensor backward_batched(const Tensor& grad_output);
-  Tensor forward_reference(const Tensor& input, bool training, bool use_hook);
+  Tensor forward_reference(const Tensor& input, bool training);
+  // Scatters a [F, N·p] result into a (N, F, oh, ow) output plus bias.
+  Tensor scatter_output(const float* src, std::int64_t batch) const;
   Tensor backward_reference(const Tensor& grad_output);
   void invalidate_cache();
 

@@ -20,15 +20,19 @@ namespace tinyadc::nn {
 /// Injectable inference-time MVM backend for Conv2d/Linear.
 ///
 /// When installed, the layer's *inference* forward pass offers its input
-/// matrix to the hook instead of running the float GEMM:
-///  * Conv2d passes the per-sample im2col patch matrix (patch_rows ×
-///    patch_cols) and expects (out_channels × patch_cols) back (pre-bias);
+/// matrix to the hook instead of running the float GEMM, once per forward
+/// call (the whole batch at once):
+///  * Conv2d passes the batch's im2col patch matrix (patch_rows ×
+///    batch·patch_cols; sample n owns columns [n·patch_cols,
+///    (n+1)·patch_cols)) and expects (out_channels × batch·patch_cols) back
+///    (pre-bias). Each column is one independent MVM;
 ///  * Linear passes the (batch × in_features) input and expects
 ///    (batch × out_features) back (pre-bias).
-/// Returning std::nullopt falls back to the normal float path (used e.g.
-/// during activation-range calibration). Training passes never consult the
-/// hook. This is how msim::AnalogNetwork routes a whole model's inference
-/// through the mixed-signal crossbar simulator.
+/// Returning std::nullopt falls back to the float path (used e.g. during
+/// activation-range calibration); Conv2d then computes the per-sample
+/// reference result, the same floats as set_batched(false). Training passes
+/// never consult the hook. This is how msim::AnalogNetwork routes a whole
+/// model's inference through the mixed-signal crossbar simulator.
 using MvmHook = std::function<std::optional<Tensor>(const Tensor& input)>;
 
 class Layer;

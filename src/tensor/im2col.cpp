@@ -1,5 +1,8 @@
 #include "im2col.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include "runtime/parallel.hpp"
 
 namespace tinyadc {
@@ -93,7 +96,30 @@ void im2col_batch(const float* input, std::int64_t batch,
   const std::int64_t ow = g.out_w();
   const std::int64_t p = oh * ow;
   const std::int64_t bp = batch * p;
-  const std::int64_t per_image = g.in_channels * g.in_h * g.in_w;
+  // Zero-pad every image first, so each patch row is a plain strided copy
+  // with no bounds tests (for stride 1 a contiguous one): the feature maps
+  // are small and a per-element bounds test costs more than the copy.
+  const std::int64_t hp = g.in_h + 2 * g.padding;
+  const std::int64_t wp = g.in_w + 2 * g.padding;
+  const std::int64_t per_padded = g.in_channels * hp * wp;
+  std::vector<float> padded;
+  const float* src = input;
+  if (g.padding > 0) {
+    padded.assign(static_cast<std::size_t>(batch * per_padded), 0.0F);
+    // Planes (sample, channel) are disjoint, so large batches fan out.
+    const auto pad_planes = [&](std::int64_t i0, std::int64_t i1) {
+      for (std::int64_t i = i0; i < i1; ++i)
+        for (std::int64_t y = 0; y < g.in_h; ++y) {
+          const float* row = input + (i * g.in_h + y) * g.in_w;
+          std::copy(row, row + g.in_w,
+                    padded.data() + (i * hp + y + g.padding) * wp + g.padding);
+        }
+    };
+    const std::int64_t plane_grain =
+        std::max<std::int64_t>(1, 16384 / (g.in_h * g.in_w));
+    runtime::parallel_for(0, batch * g.in_channels, plane_grain, pad_planes);
+    src = padded.data();
+  }
   // Each patch row (c, kh, kw) owns one disjoint output row across all
   // samples; the fill order within a row never depends on the partition.
   const std::int64_t grain =
@@ -104,21 +130,13 @@ void im2col_batch(const float* input, std::int64_t batch,
           const std::int64_t kw = row % g.kernel_w;
           const std::int64_t kh = (row / g.kernel_w) % g.kernel_h;
           const std::int64_t c = row / (g.kernel_w * g.kernel_h);
-          float* orow = out + row * bp;
+          float* odst = out + row * bp;
           for (std::int64_t n = 0; n < batch; ++n) {
-            const float* in = input + n * per_image;
-            float* odst = orow + n * p;
-            for (std::int64_t y = 0; y < oh; ++y) {
-              const std::int64_t iy = y * g.stride - g.padding + kh;
-              if (iy < 0 || iy >= g.in_h) {
-                for (std::int64_t x = 0; x < ow; ++x) odst[y * ow + x] = 0.0F;
-                continue;
-              }
-              const float* irow = in + (c * g.in_h + iy) * g.in_w;
-              for (std::int64_t x = 0; x < ow; ++x) {
-                const std::int64_t ix = x * g.stride - g.padding + kw;
-                odst[y * ow + x] = (ix >= 0 && ix < g.in_w) ? irow[ix] : 0.0F;
-              }
+            const float* plane = src + n * per_padded + c * hp * wp;
+            for (std::int64_t y = 0; y < oh; ++y, odst += ow) {
+              const float* irow = plane + (y * g.stride + kh) * wp + kw;
+              for (std::int64_t x = 0; x < ow; ++x)
+                odst[x] = irow[x * g.stride];
             }
           }
         }

@@ -1,6 +1,5 @@
 #include "xbar/quant.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "tensor/check.hpp"
@@ -26,15 +25,13 @@ QuantParams fit_unsigned(float max_value, int bits) {
 }
 
 std::int32_t quantize_signed(float v, const QuantParams& p) {
-  const std::int32_t qmax = (1 << (p.bits - 1)) - 1;
-  const auto q = static_cast<std::int32_t>(std::lround(v / p.scale));
-  return std::clamp(q, -qmax, qmax);
-}
-
-std::int32_t quantize_unsigned(float v, const QuantParams& p) {
-  const std::int32_t qmax = (1 << p.bits) - 1;
-  const auto q = static_cast<std::int32_t>(std::lround(v / p.scale));
-  return std::clamp(q, 0, qmax);
+  // Round the magnitude with the unsigned rule (clamped in float before the
+  // conversion, so huge values saturate instead of wrapping), then restore
+  // the sign: round half away from zero, like lround.
+  QuantParams half = p;
+  half.bits = p.bits - 1;
+  const std::int32_t mag = quantize_unsigned(std::fabs(v), half);
+  return std::signbit(v) ? -mag : mag;
 }
 
 float dequantize(std::int32_t q, const QuantParams& p) {

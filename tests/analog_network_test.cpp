@@ -2,11 +2,14 @@
 // accuracy of the simulated chip vs the float model, variation effects.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/pruner.hpp"
 #include "data/synthetic.hpp"
 #include "msim/analog_network.hpp"
 #include "nn/models.hpp"
 #include "nn/trainer.hpp"
+#include "tensor/im2col.hpp"
 #include "tensor/ops.hpp"
 
 namespace tinyadc::msim {
@@ -63,6 +66,75 @@ TEST(MvmHook, NullOptFallsBackToFloatPath) {
   const Tensor got = conv.forward(x, false);
   EXPECT_EQ(calls, 1);
   EXPECT_TRUE(allclose(got, expected, 0.0F));
+}
+
+/// A hooked conv offers the whole batch in one call: a patch_rows × N·p
+/// matrix whose column block n is sample n's im2col lowering, and the
+/// hook's (out_channels × N·p) result is scattered back per sample.
+TEST(MvmHook, ConvHookSeesWholeBatchOnce) {
+  Rng rng(4);
+  nn::Conv2d conv("c", 3, 5, 3, 2, 1, true, rng);
+  conv.bias().value.fill(0.25F);
+  const Tensor x = Tensor::randn({3, 3, 6, 6}, rng);
+  const ConvGeometry g{3, 6, 6, 3, 3, 2, 1};
+  const std::int64_t p = g.patch_cols();
+  int calls = 0;
+  conv.set_mvm_hook([&](const Tensor& cols) -> std::optional<Tensor> {
+    ++calls;
+    EXPECT_EQ(cols.shape(), (Shape{g.patch_rows(), 3 * p}));
+    for (std::int64_t n = 0; n < 3; ++n) {
+      Tensor image({3, 6, 6});
+      std::copy(x.data() + n * 108, x.data() + (n + 1) * 108, image.data());
+      const Tensor want = im2col(image, g);
+      for (std::int64_t r = 0; r < g.patch_rows(); ++r)
+        for (std::int64_t i = 0; i < p; ++i)
+          EXPECT_EQ(cols.at(r, n * p + i), want.at(r, i));
+    }
+    // Tag each output (f, column j) with f·1000 + j.
+    Tensor out({5, cols.dim(1)});
+    for (std::int64_t f = 0; f < 5; ++f)
+      for (std::int64_t j = 0; j < cols.dim(1); ++j)
+        out.at(f, j) = static_cast<float>(f * 1000 + j);
+    return out;
+  });
+  const Tensor y = conv.forward(x, false);
+  EXPECT_EQ(calls, 1);
+  ASSERT_EQ(y.shape(), (Shape{3, 5, g.out_h(), g.out_w()}));
+  for (std::int64_t n = 0; n < 3; ++n)
+    for (std::int64_t f = 0; f < 5; ++f)
+      for (std::int64_t i = 0; i < p; ++i)
+        EXPECT_EQ(y.data()[(n * 5 + f) * p + i],
+                  static_cast<float>(f * 1000 + n * p + i) + 0.25F);
+}
+
+/// A declining hook yields exactly the per-sample reference output
+/// (set_batched(false)), also on a shape (k = 144 > 64 taps, p = 16 < 32
+/// pixels) where the batched GEMM rounds differently.
+TEST(MvmHook, DecliningConvHookGivesReferenceOutput) {
+  Rng rng(5);
+  nn::Conv2d conv("c", 16, 8, 3, 1, 1, false, rng);
+  const Tensor x = Tensor::randn({3, 16, 4, 4}, rng);
+  conv.set_batched(false);
+  const Tensor reference = conv.forward(x, false);
+  conv.set_batched(true);
+  const Tensor batched = conv.forward(x, false);
+  const auto nbytes =
+      static_cast<std::size_t>(reference.numel()) * sizeof(float);
+  ASSERT_NE(std::memcmp(batched.data(), reference.data(), nbytes), 0)
+      << "this shape must separate the batched and reference GEMMs";
+  for (const bool use_batched : {true, false}) {
+    conv.set_batched(use_batched);
+    int calls = 0;
+    conv.set_mvm_hook([&calls](const Tensor&) -> std::optional<Tensor> {
+      ++calls;
+      return std::nullopt;
+    });
+    const Tensor got = conv.forward(x, false);
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(std::memcmp(got.data(), reference.data(), nbytes), 0)
+        << "batched=" << use_batched;
+    conv.set_mvm_hook(nullptr);
+  }
 }
 
 TEST(MvmHook, TrainingPathIgnoresHook) {

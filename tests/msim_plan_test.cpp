@@ -4,6 +4,9 @@
 // count. Plus the shift-and-add int64 overflow guard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -406,8 +409,155 @@ TEST_P(BatchApiEquivalence, BatchedMatchesPerSample) {
   }
 }
 
+/// The fused batch runs samples in blocks of 8, 4 and 1 lanes: batch sizes
+/// cover every block width and remainder. The 16-bit mapping's fused
+/// partials exceed int32, so its blocks run the int64 lanes; the 8-bit
+/// mapping's fit int32. Variation runs the non-fused fallback. Each case
+/// matches per-sample mvm() calls (outputs and all counters) and, on the
+/// ideal datapath, the exact integer reference; the column entry point
+/// matches per-sample mvm_real / mvm_real_signed calls.
+TEST_P(BatchApiEquivalence, EveryBlockWidthMatchesPerSample) {
+  runtime::set_thread_count(GetParam());
+  const Tensor m = cp_matrix(16, 5);
+  xbar::MappingConfig narrow_map;
+  xbar::MappingConfig wide_map;
+  wide_map.input_bits = 16;
+  wide_map.weight_bits = 16;
+  for (const xbar::MappingConfig& map_cfg : {narrow_map, wide_map}) {
+    const auto layer = xbar::map_matrix(m, "l", map_cfg);
+    for (const double sigma : {0.0, 0.1}) {
+      MsimConfig cfg;
+      cfg.variation_sigma = sigma;
+      for (const std::int64_t batch : {1, 2, 3, 4, 5, 8, 9, 17}) {
+        AnalogLayerSim batched(layer, cfg);
+        AnalogLayerSim serial(layer, cfg);
+        std::vector<std::int32_t> xs;
+        for (std::int64_t s = 0; s < batch; ++s) {
+          const auto x = random_codes(layer.rows, map_cfg.input_bits,
+                                      300 + static_cast<std::uint64_t>(s));
+          xs.insert(xs.end(), x.begin(), x.end());
+        }
+        const auto yb = batched.mvm_batch(xs, batch);
+        ASSERT_EQ(yb.size(), static_cast<std::size_t>(batch * layer.cols));
+        std::int64_t largest = 0;
+        for (std::int64_t s = 0; s < batch; ++s) {
+          const std::vector<std::int32_t> x(
+              xs.begin() + s * layer.rows, xs.begin() + (s + 1) * layer.rows);
+          const std::vector<std::int64_t> row(
+              yb.begin() + s * layer.cols, yb.begin() + (s + 1) * layer.cols);
+          EXPECT_EQ(row, serial.mvm(x))
+              << "input_bits=" << map_cfg.input_bits << " sigma=" << sigma
+              << " batch=" << batch << " sample " << s;
+          if (sigma == 0.0) {
+            EXPECT_EQ(row, xbar::reference_mvm(layer, x))
+                << "input_bits=" << map_cfg.input_bits << " batch=" << batch
+                << " sample " << s;
+          }
+          for (const auto v : row) largest = std::max(largest, v < 0 ? -v : v);
+        }
+        if (map_cfg.input_bits == 16) {
+          EXPECT_GT(largest, std::int64_t{INT32_MAX})
+              << "the wide mapping must need 64-bit lanes";
+        }
+        EXPECT_EQ(batched.stats().adc_conversions,
+                  serial.stats().adc_conversions);
+        EXPECT_EQ(batched.stats().adc_clip_events,
+                  serial.stats().adc_clip_events);
+        EXPECT_EQ(batched.stats().dac_cycles, serial.stats().dac_cycles);
+
+        // The column entry point (a conv's patch matrix, one sample per
+        // column) against per-sample real-domain calls.
+        xbar::QuantParams q;
+        q.bits = map_cfg.input_bits;
+        q.scale = 0.043F;
+        tinyadc::Rng rng(11);
+        Tensor xcols({layer.rows, batch});
+        for (std::int64_t i = 0; i < xcols.numel(); ++i)
+          xcols.data()[i] = rng.normal(0.0F, 2.0F);
+        for (const bool signed_input : {false, true}) {
+          Tensor xin = xcols.clone();
+          if (!signed_input)
+            for (std::int64_t i = 0; i < xin.numel(); ++i)
+              xin.data()[i] = std::fabs(xin.data()[i]);
+          const Tensor yc = batched.mvm_real_columns(xin, q, signed_input);
+          ASSERT_EQ(yc.shape(), (Shape{layer.cols, batch}));
+          for (std::int64_t s = 0; s < batch; ++s) {
+            std::vector<float> x(static_cast<std::size_t>(layer.rows));
+            for (std::int64_t r = 0; r < layer.rows; ++r)
+              x[static_cast<std::size_t>(r)] = xin.at(r, s);
+            const auto y = signed_input ? serial.mvm_real_signed(x, q)
+                                        : serial.mvm_real(x, q);
+            for (std::int64_t c = 0; c < layer.cols; ++c)
+              EXPECT_EQ(yc.at(c, s), y[static_cast<std::size_t>(c)])
+                  << "columns, signed=" << signed_input << " sigma=" << sigma
+                  << " batch=" << batch << " sample " << s;
+          }
+        }
+        EXPECT_EQ(batched.stats().adc_conversions,
+                  serial.stats().adc_conversions);
+        EXPECT_EQ(batched.stats().dac_cycles, serial.stats().dac_cycles);
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, BatchApiEquivalence, ::testing::Values(1,
                                                                          4));
+
+/// A session forward of B images gives byte-identical logits to B batch-1
+/// forwards: the whole batch goes through each analog layer in one call,
+/// and every image's path stays independent of its neighbours. Checked on
+/// the ideal (fused) and the σ = 0.1 (general) datapaths, with the signed
+/// first layer, at 1 and 4 threads.
+TEST(SessionBatchIdentity, BatchOfBEqualsBSingleImageForwards) {
+  nn::ModelConfig mc;
+  mc.num_classes = 4;
+  mc.image_size = 8;
+  mc.width_mult = 0.0625F;
+  const auto model = nn::resnet18(mc);
+
+  data::SyntheticSpec spec;
+  spec.num_classes = 4;
+  spec.image_size = 8;
+  spec.train_per_class = 8;
+  spec.test_per_class = 4;
+  spec.seed = 23;
+  const auto data = data::make_synthetic(spec);
+
+  xbar::MappingConfig map_cfg;
+  map_cfg.dims = {16, 16};
+  const auto net = xbar::map_model(*model, map_cfg);
+
+  for (const double sigma : {0.0, 0.1}) {
+    MsimConfig cfg;
+    cfg.variation_sigma = sigma;
+    AnalogNetwork analog(*model, net, cfg);
+    analog.calibrate(data.train, 8);
+    ASSERT_TRUE(analog.signed_input()[0])
+        << "first conv must see signed pixels";
+    for (const int threads : {1, 4}) {
+      runtime::set_thread_count(threads);
+      AnalogSession session(analog);
+      for (const std::size_t b : {2, 5, 9, 16}) {
+        std::vector<std::size_t> idx(b);
+        for (std::size_t i = 0; i < b; ++i) idx[i] = i;
+        const Tensor logits = session.forward(data.test.subset(idx).images);
+        const std::int64_t k = logits.dim(1);
+        for (std::size_t i = 0; i < b; ++i) {
+          const Tensor one = session.forward(data.test.subset({i}).images);
+          ASSERT_EQ(one.numel(), k);
+          const float* row = logits.data() + static_cast<std::int64_t>(i) * k;
+          EXPECT_EQ(std::memcmp(one.data(), row,
+                                static_cast<std::size_t>(k) * sizeof(float)),
+                    0)
+              << "sigma=" << sigma << " threads=" << threads << " B=" << b
+              << " image " << i;
+        }
+      }
+    }
+    runtime::set_thread_count(0);
+  }
+}
 
 /// The non-ideal general path against the dense reference beyond the
 /// paper's 1-bit DAC: multi-bit DACs (where the IR-drop divide stays per

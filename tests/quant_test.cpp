@@ -1,6 +1,10 @@
 // Quantization and MLC slicing round trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "xbar/quant.hpp"
 
 namespace tinyadc::xbar {
@@ -24,6 +28,75 @@ TEST(Quant, UnsignedFitMapsRange) {
   EXPECT_EQ(quantize_unsigned(1.0F, p), 255);
   EXPECT_EQ(quantize_unsigned(0.0F, p), 0);
   EXPECT_EQ(quantize_unsigned(-0.5F, p), 0);  // negatives clamp
+}
+
+/// The libm-free quantizers equal lround then the clamp for every in-range
+/// value: ties round away from zero, just-below-half rounds down.
+TEST(Quant, TiesMatchLroundThenClamp) {
+  for (const int bits : {1, 4, 8, 16}) {
+    QuantParams p;
+    p.bits = bits;
+    p.scale = 1.0F;
+    const auto umax = static_cast<float>((1 << bits) - 1);
+    const auto smax = static_cast<float>((1 << (bits - 1)) - 1);
+    const float probes[] = {0.0F,
+                            -0.0F,
+                            0.5F,
+                            1.5F,
+                            2.5F,
+                            std::nextafter(0.5F, 0.0F),
+                            std::nextafter(0.5F, 1.0F),
+                            std::nextafter(1.5F, 0.0F),
+                            umax - 0.5F,
+                            umax + 0.5F,
+                            smax - 0.5F,
+                            smax + 0.5F,
+                            std::nextafter(umax - 0.5F, 0.0F),
+                            0.49F,
+                            7.3F,
+                            -0.5F,
+                            -1.5F,
+                            -2.5F,
+                            -smax - 0.5F,
+                            -smax + 0.5F};
+    for (const float v : probes) {
+      const long r = std::lround(v);
+      EXPECT_EQ(quantize_unsigned(v, p),
+                std::clamp<long>(r, 0, static_cast<long>(umax)))
+          << "bits=" << bits << " v=" << v;
+      if (bits >= 2) {
+        EXPECT_EQ(quantize_signed(v, p),
+                  std::clamp<long>(r, -static_cast<long>(smax),
+                                   static_cast<long>(smax)))
+            << "bits=" << bits << " v=" << v;
+      }
+    }
+  }
+}
+
+/// Values beyond the int32 range saturate instead of wrapping; NaN maps
+/// to 0.
+TEST(Quant, HugeInfAndNanSaturate) {
+  QuantParams p;
+  p.bits = 8;
+  p.scale = 1.0F;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const float v : {3e9F, 1e12F, 3.4e38F, inf})
+    EXPECT_EQ(quantize_unsigned(v, p), 255) << v;
+  for (const float v : {-3e9F, -1e12F, -inf})
+    EXPECT_EQ(quantize_unsigned(v, p), 0) << v;
+  EXPECT_EQ(quantize_unsigned(nan, p), 0);
+  for (const float v : {3e9F, 1e12F, 3.4e38F, inf})
+    EXPECT_EQ(quantize_signed(v, p), 127) << v;
+  for (const float v : {-3e9F, -1e12F, -3.4e38F, -inf})
+    EXPECT_EQ(quantize_signed(v, p), -127) << v;
+  EXPECT_EQ(quantize_signed(nan, p), 0);
+  EXPECT_EQ(quantize_signed(-nan, p), 0);
+  // A tiny scale pushes ordinary values out of range the same way.
+  p.scale = 1e-30F;
+  EXPECT_EQ(quantize_unsigned(1.0F, p), 255);
+  EXPECT_EQ(quantize_signed(-1.0F, p), -127);
 }
 
 TEST(Quant, ZeroRangeUsesUnitScale) {
