@@ -174,7 +174,7 @@ struct SweepKernel {
   /// Digest of an independent reference run the kernel must reproduce.
   /// Unset for the ideal analog_mvm_cp16_* rows, which instead must agree
   /// with each other.
-  std::optional<std::uint64_t> expect;
+  std::optional<std::uint64_t> expect = std::nullopt;
 };
 
 std::vector<SweepKernel> make_sweep_kernels() {
@@ -314,6 +314,48 @@ std::vector<SweepKernel> make_sweep_kernels() {
                          return sixteen_mvms(*var_sim);
                        },
                        sixteen_mvms(var_dense)});
+
+    // The same chip behind a conv hook: one mvm_real_columns call on 16
+    // post-ReLU-like columns (about two thirds zero codes, most of the
+    // rest small, a few past full scale), where the general path's
+    // zero-code skip and dead-cycle bound do work — uniform codes are
+    // their worst case. Digest-checked against 16 per-sample mvm_real
+    // calls on a separate sim.
+    xbar::QuantParams relu_q;
+    relu_q.bits = 8;
+    relu_q.scale = 0.043F;
+    auto relu_cols = std::make_shared<Tensor>(Shape{512, 16});
+    for (std::int64_t i = 0; i < relu_cols->numel(); ++i) {
+      const double u = rng.uniform();
+      relu_cols->data()[i] = u < 0.65    ? 0.0F
+                             : u < 0.975 ? rng.uniform(0.0F, 0.7F)
+                                         : 16.0F;
+    }
+    std::uint64_t relu_expect = 0;
+    {
+      msim::AnalogLayerSim ref(*layer, var_cfg);
+      Tensor ys({layer->cols, 16});
+      for (std::int64_t s = 0; s < 16; ++s) {
+        std::vector<float> x(512);
+        for (std::int64_t r = 0; r < 512; ++r)
+          x[static_cast<std::size_t>(r)] = relu_cols->at(r, s);
+        const auto y = ref.mvm_real(x, relu_q);
+        for (std::int64_t c = 0; c < layer->cols; ++c)
+          ys.at(c, s) = y[static_cast<std::size_t>(c)];
+      }
+      relu_expect = fnv1a(
+          ys.data(), sizeof(float) * static_cast<std::size_t>(ys.numel()));
+    }
+    auto relu_sim = std::make_shared<msim::AnalogLayerSim>(*layer, var_cfg);
+    kernels.push_back({"analog_mvm_cp16_general_relu",
+                       [relu_sim, layer, relu_cols, relu_q] {
+                         const Tensor y = relu_sim->mvm_real_columns(
+                             *relu_cols, relu_q, /*signed_input=*/false);
+                         return fnv1a(y.data(),
+                                      sizeof(float) *
+                                          static_cast<std::size_t>(y.numel()));
+                       },
+                       relu_expect});
   }
 
   return kernels;

@@ -38,7 +38,7 @@ void print_row(const char* config, const MeasuredRow& row,
   char structured[16] = "-";
   if (row.structured_rate > 0)
     std::snprintf(structured, sizeof structured, "%.2fx", row.structured_rate);
-  char cp[16] = "-";
+  char cp[24] = "-";  // "%lldx" needs up to 21 bytes
   if (row.cp_rate > 0)
     std::snprintf(cp, sizeof cp, "%lldx", static_cast<long long>(row.cp_rate));
   char xbar_red[16] = "-";

@@ -12,7 +12,25 @@
 #include <algorithm>
 #include <cstdint>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace tinyadc::msim {
+
+/// std::max(0.0, x) — NaN, −0.0 and negatives give +0.0 — without a
+/// data-dependent branch. GCC may compile the portable form into a
+/// compare-and-jump once it is inlined into a lane loop, where sums of
+/// exactly 0 are common and the jump mispredicts; x86's MAXSD returns its
+/// second operand (+0.0) whenever the first is not greater, NaN included,
+/// so it computes the same value branch-free.
+inline double clamp_nonneg(double x) {
+#if defined(__SSE2__)
+  return _mm_cvtsd_f64(_mm_max_sd(_mm_set_sd(x), _mm_setzero_pd()));
+#else
+  return std::max(0.0, x);
+#endif
+}
 
 /// Plain conversion counters for lock-free accumulation: parallel simulation
 /// code converts against worker-local counters and merges them into the
@@ -48,7 +66,7 @@ class Adc {
     const double cap = static_cast<double>(full_scale_) + 0.5;
     ++counters.conversions;
     counters.clip_events += full_scale_ > 0 && analog_sum >= cap ? 1 : 0;
-    const double a = std::min(cap, std::max(0.0, analog_sum));
+    const double a = std::min(cap, clamp_nonneg(analog_sum));
     const auto whole = static_cast<std::int64_t>(a);
     const std::int64_t code =
         whole + (a - static_cast<double>(whole) >= 0.5 ? 1 : 0);

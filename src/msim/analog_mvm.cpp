@@ -190,18 +190,108 @@ void quantize_block(const float* x, std::size_t ld, std::size_t n,
     block.template operator()<1>();
 }
 
-/// Runs fn(i0, i1) over [0, count): inline when `serial`, else on the pool.
+/// Runs fn(i0, i1) over [0, count): inline when `serial`, else on the pool
+/// in chunks of `grain` indices.
 template <typename Fn>
-void run_range(std::int64_t count, bool serial, const Fn& fn) {
+void run_range(std::int64_t count, bool serial, const Fn& fn,
+               std::int64_t grain = 1) {
   if (serial)
     fn(0, count);
   else
-    runtime::parallel_for(0, count, 1, fn);
+    runtime::parallel_for(0, count, grain, fn);
+}
+
+/// A grain that cuts [0, count) into about four chunks per pool lane, so
+/// per-chunk setup (scratch buffers, a counter merge) is paid a few times
+/// per call rather than once per index, while the lanes still interleave.
+std::int64_t lane_grain(std::int64_t count) {
+  const std::int64_t chunks = 4 * std::int64_t{runtime::thread_count()};
+  return std::max<std::int64_t>(1, (count + chunks - 1) / chunks);
 }
 
 // Most DAC cycles the general path's lanes cover: input_bits ≤ 16 (the
 // mapping validator's envelope), so one cycle per input bit at most.
 constexpr int kMaxGeneralCycles = 16;
+
+/// What general_segment reads: the layer's constants, and one polarity
+/// segment's `m` operands with a nonzero activation code (their local
+/// slots and codes) and live slice count over the segment's slice-major
+/// level / variation streams (slice stride `len`) and IR divisors
+/// (nullptr: all 1.0).
+struct GeneralArgs {
+  int slices = 0;
+  int cell_bits = 0;
+  int dac_bits = 0;
+  std::int32_t mask = 0;
+  bool hoist_divide = false;
+  const Adc* adc = nullptr;
+  const std::int32_t* slot = nullptr;
+  const std::int32_t* code = nullptr;
+  std::size_t m = 0;
+  std::size_t len = 0;
+  const std::int32_t* level = nullptr;
+  const float* var = nullptr;
+  const double* denom = nullptr;
+};
+
+/// One segment of the general path over its live slices and its kLive
+/// live DAC cycles: returns Σ_(slice, cycle) code << shift of the
+/// segment's conversions.
+/// Each gathered operand's chunks are split once into `ch`; per slice,
+/// its level·variation (and, when hoisted, its IR-drop divide) is formed
+/// once and fed to one lane per cycle, summed in ascending row order — the
+/// dense scan's operand order for that cycle — as independent dependency
+/// chains in registers. The lane update multiplies by the chunk (never
+/// `ch ? w : 0.0`, which compiles to a mispredicting branch). Why every
+/// lane equals the dense scan's double bit for bit, although zero-code
+/// operands, dead slices and dead cycles are left out: see the file
+/// header of analog_mvm.hpp and DESIGN.md §12.
+template <int kLive>
+std::int64_t general_segment(const GeneralArgs& g, double* ch,
+                             AdcCounters& counters) {
+  for (std::size_t j = 0; j < g.m; ++j) {
+    std::int32_t rest = g.code[j];
+    for (int t = 0; t < kLive; ++t) {
+      ch[j * kLive + static_cast<std::size_t>(t)] =
+          static_cast<double>(rest & g.mask);
+      rest >>= g.dac_bits;
+    }
+  }
+  std::int64_t acc = 0;
+  for (int s = 0; s < g.slices; ++s) {
+    const std::size_t sbase = static_cast<std::size_t>(s) * g.len;
+    const std::int32_t* lv = g.level + sbase;
+    const float* vv = g.var + sbase;
+    double lane[kLive] = {};
+    if (g.hoist_divide) {
+      for (std::size_t j = 0; j < g.m; ++j) {
+        const auto i = static_cast<std::size_t>(g.slot[j]);
+        double w = static_cast<double>(lv[i]) * vv[i];
+        if (g.denom != nullptr) w /= g.denom[i];
+        const double* c = ch + j * kLive;
+        for (int t = 0; t < kLive; ++t) lane[t] += c[t] * w;
+      }
+    } else {
+      for (std::size_t j = 0; j < g.m; ++j) {
+        const auto i = static_cast<std::size_t>(g.slot[j]);
+        const double w = static_cast<double>(lv[i]) * vv[i];
+        const double d = g.denom[i];
+        const double* c = ch + j * kLive;
+        for (int t = 0; t < kLive; ++t) lane[t] += (c[t] * w) / d;
+      }
+    }
+    for (int t = 0; t < kLive; ++t)
+      acc += g.adc->convert(lane[t], counters)
+             << (s * g.cell_bits + t * g.dac_bits);
+  }
+  return acc;
+}
+
+/// general_segment, one instantiation per live cycle count (index L − 1).
+constexpr auto kGeneralSegment =
+    []<std::size_t... L>(std::index_sequence<L...>) {
+      return std::array{&general_segment<static_cast<int>(L) + 1>...};
+    }(std::make_index_sequence<kMaxGeneralCycles>{});
 
 }  // namespace
 
@@ -585,81 +675,138 @@ void AnalogLayerSim::dac_split(const std::int32_t* x,
 
 std::vector<std::int64_t> AnalogLayerSim::mvm(
     const std::vector<std::int32_t>& x) {
-  return config_.use_plan ? mvm_packed(x) : mvm_dense(x);
+  TINYADC_CHECK(static_cast<std::int64_t>(x.size()) == layer_.rows,
+                "input length " << x.size() << " != layer rows "
+                                << layer_.rows);
+  const auto& cfg = layer_.config;
+  std::vector<std::int64_t> y(static_cast<std::size_t>(layer_.cols));
+  AdcCounters counters;
+  if (config_.use_plan) {
+    SampleScratch scratch = make_sample_scratch();
+    packed_sample(x.data(), scratch, y.data(), counters);
+  } else {
+    dense_sample(x.data(), y.data(), counters);
+  }
+  merge_stats(counters, dac_cycles(cfg.input_bits, cfg.dac_bits));
+  return y;
 }
 
-/// The general (non-ideal) path over pairs [p0, p1) for a kCycles-cycle
-/// DAC stream. Per segment, each operand's DAC chunks are gathered once;
-/// per (segment, slice), each operand's level·variation (and, on a 1-bit
-/// DAC, its IR-drop divide) is computed once and fed to one lane per
-/// cycle. Lane t sums cycle t's analog column current in ascending row
-/// order — the dense scan's operand order for that cycle — as an
-/// independent dependency chain held in registers. Why every lane equals
-/// the dense scan's double bit for bit: see the file header of
-/// analog_mvm.hpp and DESIGN.md §12. The lane update multiplies by the
-/// chunk (never `ch ? w : 0.0`, which compiles to a mispredicting branch).
-template <int kCycles>
+AnalogLayerSim::KernelScratch AnalogLayerSim::make_kernel_scratch() const {
+  const auto& cfg = layer_.config;
+  const auto cycles =
+      static_cast<std::size_t>(dac_cycles(cfg.input_bits, cfg.dac_bits));
+  const std::size_t len = std::max<std::size_t>(max_seg_len_, 1);
+  KernelScratch k;
+  if (config_.plan_kernel == PlanKernel::kAos) return k;
+  switch (exec_path_) {
+    case ExecPath::kFused:
+      break;
+    case ExecPath::kBitslice:
+      k.words.resize(cycles * ((len + 63) / 64));
+      break;
+    case ExecPath::kVector:
+      k.ops.resize(len);
+      break;
+    case ExecPath::kGeneral:
+      k.ops.resize(2 * len);
+      k.live_chunks.resize(len * cycles);
+      break;
+  }
+  return k;
+}
+
+AnalogLayerSim::SampleScratch AnalogLayerSim::make_sample_scratch() const {
+  const auto& cfg = layer_.config;
+  const int cycles = dac_cycles(cfg.input_bits, cfg.dac_bits);
+  SampleScratch s;
+  // DAC chunks flattened into one contiguous buffer: chunk t of row r sits
+  // at [t*n + r], so plan entries index a cycle's chunks directly by their
+  // packed row index. The fused, bitslice and general paths read the
+  // codes directly and skip the split.
+  if (config_.plan_kernel == PlanKernel::kAos ||
+      exec_path_ == ExecPath::kVector)
+    s.chunks.resize(static_cast<std::size_t>(cycles) *
+                    static_cast<std::size_t>(layer_.rows));
+  s.pair_acc.resize(soa_out_.size());
+  s.kernel = make_kernel_scratch();
+  return s;
+}
+
+/// The general (non-ideal) path over pairs [p0, p1). Per segment, the
+/// operands whose activation code is nonzero are gathered (branch-free:
+/// every slot is written, the count advances on a nonzero code), and
+/// their codes and weight magnitudes OR-ed: cycles at or above
+/// ⌈bit_width(code OR) / dac_bits⌉ see only zero chunks, and slices at or
+/// above ⌈bit_width(magnitude OR) / cell_bits⌉ only zero levels.
+/// general_segment then sums and converts the live slices and cycles
+/// only. A left-out operand, slice or cycle contributes +0.0 to its sums,
+/// which changes no bit, and a dead conversion gives code 0 without a
+/// clip, so conversions are credited in bulk (2·slices·cycles per pair, as
+/// the fused path does) and clips counted on the live lanes.
 void AnalogLayerSim::exec_general(const std::int32_t* x, std::int64_t p0,
                                   std::int64_t p1, std::int64_t* pair_acc,
+                                  KernelScratch& scratch,
                                   AdcCounters& counters) const {
   const auto& cfg = layer_.config;
   const int slices = cfg.slices();
-  const std::int32_t mask = (1 << cfg.dac_bits) - 1;
-  const bool hoist_divide = unit_denom_ || cfg.dac_bits == 1;
+  const int cycles = dac_cycles(cfg.input_bits, cfg.dac_bits);
+  std::int32_t* slot = scratch.ops.data();
+  std::int32_t* code = slot + std::max<std::size_t>(max_seg_len_, 1);
+  GeneralArgs g;
+  g.cell_bits = cfg.cell_bits;
+  g.dac_bits = cfg.dac_bits;
+  g.mask = (1 << cfg.dac_bits) - 1;
+  g.hoist_divide = unit_denom_ || cfg.dac_bits == 1;
+  g.adc = &adc_;
+  g.slot = slot;
+  g.code = code;
   const std::uint64_t* seg = soa_seg_.data();
   const std::int32_t* row = soa_row_.data();
-  std::vector<double> ch(std::max<std::size_t>(max_seg_len_, 1) * kCycles);
+  const std::int32_t* mag = soa_mag_.data();
+  AdcCounters live;  // its conversion count is replaced by the bulk credit
   for (std::int64_t pi = p0; pi < p1; ++pi) {
     std::int64_t acc = 0;
     for (int pol = 0; pol < 2; ++pol) {
       const std::size_t k =
           2 * static_cast<std::size_t>(pi) + static_cast<std::size_t>(pol);
       const std::size_t i0 = seg[k], len = seg[k + 1] - i0;
-      const std::size_t lbase = i0 * static_cast<std::size_t>(slices);
+      std::size_t m = 0;
+      std::uint32_t any = 0;   // OR of the codes
+      std::uint32_t mags = 0;  // OR of the gathered operands' magnitudes
       for (std::size_t i = 0; i < len; ++i) {
-        std::int32_t rest = x[row[i0 + i]];
-        for (int t = 0; t < kCycles; ++t) {
-          ch[i * kCycles + static_cast<std::size_t>(t)] =
-              static_cast<double>(rest & mask);
-          rest >>= cfg.dac_bits;
-        }
+        const std::int32_t c = x[row[i0 + i]];
+        slot[m] = static_cast<std::int32_t>(i);
+        code[m] = c;
+        m += c != 0 ? 1 : 0;
+        any |= static_cast<std::uint32_t>(c);
+        mags |= static_cast<std::uint32_t>(c != 0 ? mag[i0 + i] : 0);
       }
-      const double* denom = unit_denom_ ? nullptr : soa_denom_.data() + i0;
-      for (int s = 0; s < slices; ++s) {
-        const std::size_t sbase = lbase + static_cast<std::size_t>(s) * len;
-        const std::int32_t* lv = soa_level_.data() + sbase;
-        const float* vv = soa_var_.data() + sbase;
-        double lane[kCycles] = {};
-        if (hoist_divide) {
-          for (std::size_t i = 0; i < len; ++i) {
-            double w = static_cast<double>(lv[i]) * vv[i];
-            if (denom != nullptr) w /= denom[i];
-            const double* c = ch.data() + i * kCycles;
-            for (int t = 0; t < kCycles; ++t) lane[t] += c[t] * w;
-          }
-        } else {
-          for (std::size_t i = 0; i < len; ++i) {
-            const double w = static_cast<double>(lv[i]) * vv[i];
-            const double d = denom[i];
-            const double* c = ch.data() + i * kCycles;
-            for (int t = 0; t < kCycles; ++t) lane[t] += (c[t] * w) / d;
-          }
-        }
-        for (int t = 0; t < kCycles; ++t) {
-          const std::int64_t code = adc_.convert(lane[t], counters);
-          acc += (pol == 0 ? 1 : -1) *
-                 (code << (s * cfg.cell_bits + t * cfg.dac_bits));
-        }
-      }
+      if (m == 0) continue;  // every conversion sees +0.0: code 0
+      const int live_cycles =
+          (static_cast<int>(std::bit_width(any)) + cfg.dac_bits - 1) /
+          cfg.dac_bits;
+      g.slices = (static_cast<int>(std::bit_width(mags)) + cfg.cell_bits - 1) /
+                 cfg.cell_bits;
+      g.m = m;
+      g.len = len;
+      g.level = soa_level_.data() + i0 * static_cast<std::size_t>(slices);
+      g.var = soa_var_.data() + i0 * static_cast<std::size_t>(slices);
+      g.denom = unit_denom_ ? nullptr : soa_denom_.data() + i0;
+      const std::int64_t part = kGeneralSegment[static_cast<std::size_t>(
+          live_cycles - 1)](g, scratch.live_chunks.data(), live);
+      acc += pol == 0 ? part : -part;
     }
     pair_acc[pi] = acc;
   }
+  counters.conversions += (p1 - p0) * 2 * slices * cycles;
+  counters.clip_events += live.clip_events;
 }
 
 void AnalogLayerSim::exec_pairs_soa(const std::int32_t* x,
                                     const std::int32_t* chunks,
                                     std::int64_t p0, std::int64_t p1,
                                     std::int64_t* pair_acc,
+                                    KernelScratch& scratch,
                                     AdcCounters& counters) const {
   const auto& cfg = layer_.config;
   const int slices = cfg.slices();
@@ -712,12 +859,7 @@ void AnalogLayerSim::exec_pairs_soa(const std::int32_t* x,
       // Ideal 1-bit DAC: cycle t's chunk of code x is just bit t, so the
       // chunk words pack straight from x and every plane sum is a handful
       // of popcounts over the packed level bit planes.
-      std::size_t max_words = 0;
-      for (std::size_t k = 0; k + 1 < soa_seg_.size(); ++k)
-        max_words = std::max(max_words,
-                             (soa_seg_[k + 1] - soa_seg_[k] + 63) / 64);
-      std::vector<std::uint64_t> cw(static_cast<std::size_t>(cycles) *
-                                    std::max<std::size_t>(max_words, 1));
+      std::uint64_t* cw = scratch.words.data();
       for (std::int64_t pi = p0; pi < p1; ++pi) {
         std::int64_t acc = 0;
         std::int64_t convs = 0;
@@ -728,10 +870,7 @@ void AnalogLayerSim::exec_pairs_soa(const std::int32_t* x,
           const std::size_t words = (len + 63) / 64;
           if (pi + 1 < p1)
             TINYADC_PREFETCH(bs_words_.data() + bs_base_[k + 2]);
-          std::fill(cw.begin(),
-                    cw.begin() + static_cast<std::ptrdiff_t>(
-                                     static_cast<std::size_t>(cycles) * words),
-                    0);
+          std::fill(cw, cw + static_cast<std::size_t>(cycles) * words, 0);
           for (std::size_t i = 0; i < len; ++i) {
             const auto xv = static_cast<std::uint32_t>(x[soa_row_[i0 + i]]);
             const std::size_t w = i / 64;
@@ -745,7 +884,7 @@ void AnalogLayerSim::exec_pairs_soa(const std::int32_t* x,
             const int sshift = s * cfg.cell_bits;
             for (int t = 0; t < cycles; ++t) {
               const std::uint64_t* ct =
-                  cw.data() + static_cast<std::size_t>(t) * words;
+                  cw + static_cast<std::size_t>(t) * words;
               std::int64_t isum = 0;
               for (int b = 0; b < cfg.cell_bits; ++b) {
                 const std::uint64_t* pw =
@@ -771,7 +910,7 @@ void AnalogLayerSim::exec_pairs_soa(const std::int32_t* x,
       // segment, then a contiguous multiply-accumulate per slice over the
       // rectangular level stream (zeros contribute nothing, so the
       // rectangle is exact).
-      std::vector<std::int32_t> g(std::max<std::size_t>(max_seg_len_, 1));
+      std::int32_t* g = scratch.ops.data();
       const bool narrow = worst_plane_sum_ <= INT32_MAX;
       for (std::int64_t pi = p0; pi < p1; ++pi) {
         std::int64_t acc = 0;
@@ -810,18 +949,9 @@ void AnalogLayerSim::exec_pairs_soa(const std::int32_t* x,
       }
       return;
     }
-    case ExecPath::kGeneral: {
-      // Non-ideal datapath: exec_general instantiated for this layer's
-      // cycle count, so each plane's lanes are a fixed-size register block.
-      static constexpr auto kGeneral =
-          []<std::size_t... C>(std::index_sequence<C...>) {
-            return std::array{
-                &AnalogLayerSim::exec_general<static_cast<int>(C) + 1>...};
-          }(std::make_index_sequence<kMaxGeneralCycles>{});
-      (this->*kGeneral[static_cast<std::size_t>(cycles) - 1])(
-          x, p0, p1, pair_acc, counters);
+    case ExecPath::kGeneral:
+      exec_general(x, p0, p1, pair_acc, scratch, counters);
       return;
-    }
   }
 }
 
@@ -872,78 +1002,61 @@ void AnalogLayerSim::exec_pairs_aos(const std::int32_t* chunks,
   }
 }
 
-std::vector<std::int64_t> AnalogLayerSim::mvm_packed(
-    const std::vector<std::int32_t>& x) {
-  TINYADC_CHECK(static_cast<std::int64_t>(x.size()) == layer_.rows,
-                "input length " << x.size() << " != layer rows "
-                                << layer_.rows);
-  const auto& cfg = layer_.config;
-  const int cycles = dac_cycles(cfg.input_bits, cfg.dac_bits);
-  const std::size_t n = x.size();
+void AnalogLayerSim::packed_sample(const std::int32_t* x,
+                                   SampleScratch& scratch, std::int64_t* y,
+                                   AdcCounters& counters) const {
+  std::int32_t* chunks =
+      scratch.chunks.empty() ? nullptr : scratch.chunks.data();
+  dac_split(x, chunks);
   const bool aos = config_.plan_kernel == PlanKernel::kAos;
-  const bool needs_chunks = aos || exec_path_ == ExecPath::kVector;
-
-  // DAC chunks flattened into one contiguous buffer: chunk t of row r sits
-  // at [t*n + r], so plan entries index a cycle's chunks directly by their
-  // packed row index. The fused, bitslice and general paths read the
-  // codes directly and skip the split (validation still runs).
-  std::vector<std::int32_t> chunks;
-  if (needs_chunks) chunks.resize(static_cast<std::size_t>(cycles) * n);
-  dac_split(x.data(), needs_chunks ? chunks.data() : nullptr);
-
+  std::int64_t* pair_acc = scratch.pair_acc.data();
   const auto npairs = static_cast<std::int64_t>(soa_out_.size());
-  std::vector<std::int64_t> pair_acc(soa_out_.size(), 0);
+  const auto run = [&](std::int64_t p0, std::int64_t p1, KernelScratch& k,
+                       AdcCounters& c) {
+    if (aos)
+      exec_pairs_aos(chunks, p0, p1, pair_acc, c);
+    else
+      exec_pairs_soa(x, chunks, p0, p1, pair_acc, k, c);
+  };
 
   // Each (block, logical column) pair converts independently — in hardware
   // all crossbar arrays fire in parallel. Per-pair sums land in fixed
   // slots; counters accumulate per worker chunk and merge under a local
-  // mutex (integer sums, so the grand total is partition-independent).
-  AdcCounters call_counters;
-  const auto run_range = [&](std::int64_t p0, std::int64_t p1,
-                             AdcCounters& counters) {
-    if (aos)
-      exec_pairs_aos(chunks.data(), p0, p1, pair_acc.data(), counters);
-    else
-      exec_pairs_soa(x.data(), chunks.data(), p0, p1, pair_acc.data(),
-                     counters);
-  };
-  if (plan_work_ < kMinParallelPlanWork) {
-    // Tiny plan: the sweep costs less than waking the pool. Run it inline
-    // (the exact serial path, so bit-identical to any partitioning).
-    run_range(0, npairs, call_counters);
+  // mutex (integer sums, so the grand total is partition-independent). A
+  // tiny plan runs inline (the sweep costs less than waking the pool), as
+  // does a sample inside a parallel region (a batch-loop lane).
+  if (plan_work_ < kMinParallelPlanWork || runtime::in_parallel_region() ||
+      runtime::thread_count() <= 1) {
+    run(0, npairs, scratch.kernel, counters);
   } else {
     std::mutex counters_mu;
-    runtime::parallel_for(0, npairs, 1,
+    runtime::parallel_for(0, npairs, lane_grain(npairs),
                           [&](std::int64_t p0, std::int64_t p1) {
+                            KernelScratch k = make_kernel_scratch();
                             AdcCounters local;
-                            run_range(p0, p1, local);
+                            run(p0, p1, k, local);
                             std::lock_guard<std::mutex> lk(counters_mu);
-                            call_counters.conversions += local.conversions;
-                            call_counters.clip_events += local.clip_events;
+                            counters.conversions += local.conversions;
+                            counters.clip_events += local.clip_events;
                           });
   }
 
-  std::vector<std::int64_t> y(static_cast<std::size_t>(layer_.cols), 0);
+  std::fill(y, y + layer_.cols, 0);
   for (std::size_t pi = 0; pi < soa_out_.size(); ++pi)
-    y[static_cast<std::size_t>(soa_out_[pi])] += pair_acc[pi];
-  merge_stats(call_counters, cycles);
-  return y;
+    y[soa_out_[pi]] += pair_acc[pi];
 }
 
-std::vector<std::int64_t> AnalogLayerSim::mvm_dense(
-    const std::vector<std::int32_t>& x) {
-  TINYADC_CHECK(static_cast<std::int64_t>(x.size()) == layer_.rows,
-                "input length " << x.size() << " != layer rows "
-                                << layer_.rows);
+void AnalogLayerSim::dense_sample(const std::int32_t* x, std::int64_t* y,
+                                  AdcCounters& counters) const {
   const auto& cfg = layer_.config;
   const int slices = cfg.slices();
   const int cycles = dac_cycles(cfg.input_bits, cfg.dac_bits);
+  const auto n = static_cast<std::size_t>(layer_.rows);
 
   // Pre-split every activation into DAC chunks: chunk[t][row].
   std::vector<std::vector<std::int32_t>> chunk(
-      static_cast<std::size_t>(cycles),
-      std::vector<std::int32_t>(x.size()));
-  for (std::size_t r = 0; r < x.size(); ++r) {
+      static_cast<std::size_t>(cycles), std::vector<std::int32_t>(n));
+  for (std::size_t r = 0; r < n; ++r) {
     const auto ch = dac_chunks(x[r], cfg.input_bits, cfg.dac_bits);
     for (int t = 0; t < cycles; ++t)
       chunk[static_cast<std::size_t>(t)][r] =
@@ -969,7 +1082,7 @@ std::vector<std::int64_t> AnalogLayerSim::mvm_dense(
           const auto& b = layer_.blocks[bi];
           const float* var =
               variation_.empty() ? nullptr : variation_[bi].data();
-          AdcCounters& counters = pair_counters[static_cast<std::size_t>(pi)];
+          AdcCounters& pc = pair_counters[static_cast<std::size_t>(pi)];
           // Decompose the column once: per-row slice values by polarity.
           // sliced[r*slices + s] holds the s-th slice of |q(r,c)|; sign[r]
           // its polarity.
@@ -1036,31 +1149,26 @@ std::vector<std::int64_t> AnalogLayerSim::mvm_dense(
           for (int polarity : {+1, -1})
             for (int s = 0; s < slices; ++s)
               for (int t = 0; t < cycles; ++t)
-                acc += polarity * (adc_.convert(*sum++, counters)
+                acc += polarity * (adc_.convert(*sum++, pc)
                                    << (s * cfg.cell_bits + t * cfg.dac_bits));
           pair_acc[static_cast<std::size_t>(pi)] = acc;
         }
       });
 
-  std::vector<std::int64_t> y(static_cast<std::size_t>(layer_.cols), 0);
-  AdcCounters call_counters;
+  std::fill(y, y + layer_.cols, 0);
   for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
     const auto [bi, c] = pairs[pi];
     const auto& b = layer_.blocks[bi];
-    y[static_cast<std::size_t>(
-        layer_.kept_cols[static_cast<std::size_t>(b.col0 + c)])] +=
-        pair_acc[pi];
-    call_counters.conversions += pair_counters[pi].conversions;
-    call_counters.clip_events += pair_counters[pi].clip_events;
+    y[layer_.kept_cols[static_cast<std::size_t>(b.col0 + c)]] += pair_acc[pi];
+    counters.conversions += pair_counters[pi].conversions;
+    counters.clip_events += pair_counters[pi].clip_events;
   }
-  merge_stats(call_counters, cycles);
-  return y;
 }
 
 bool AnalogLayerSim::batch_serial(std::int64_t batch) const {
-  // A batch of tiny plans is still tiny work overall, and each per-sample
-  // mvm() already bypasses its own inner parallel_for, so fan out only
-  // when the whole batch clears the plan-work threshold. Dense
+  // A batch of tiny plans is still tiny work overall, and each sample's
+  // pair sweep already runs inline, so fan out only when the whole batch
+  // clears the plan-work threshold. Dense
   // (use_plan == false) batches have no plan estimate and always fan out —
   // the dense scan is O(rows·cols) per sample and dwarfs the dispatch cost.
   return config_.use_plan && batch * plan_work_ < kMinParallelPlanWork;
@@ -1122,6 +1230,45 @@ void AnalogLayerSim::fused_batch(std::int64_t batch, int phases,
   merge_stats(call_counters, static_cast<std::int64_t>(cycles) * mvms);
 }
 
+template <typename Fill, typename Emit>
+void AnalogLayerSim::sample_batch(std::int64_t batch, int phases,
+                                  const Fill& fill, const Emit& emit) {
+  const auto n = static_cast<std::size_t>(layer_.rows);
+  const auto cols = static_cast<std::size_t>(layer_.cols);
+  const auto np = static_cast<std::size_t>(phases);
+  AdcCounters call_counters;
+  std::mutex counters_mu;
+  const auto run_samples = [&](std::int64_t s0, std::int64_t s1) {
+    std::vector<std::int32_t> codes(np * n);
+    std::vector<std::int64_t> y(np * cols);
+    SampleScratch scratch;
+    if (config_.use_plan) scratch = make_sample_scratch();
+    AdcCounters local;
+    for (std::int64_t s = s0; s < s1; ++s) {
+      fill(s, 1, codes.data(), np > 1 ? codes.data() + n : nullptr);
+      for (std::size_t p = 0; p < np; ++p) {
+        if (config_.use_plan)
+          packed_sample(codes.data() + p * n, scratch, y.data() + p * cols,
+                        local);
+        else
+          dense_sample(codes.data() + p * n, y.data() + p * cols, local);
+      }
+      emit(s, 1, y.data(), np > 1 ? y.data() + cols : nullptr);
+    }
+    std::lock_guard<std::mutex> lk(counters_mu);
+    call_counters.conversions += local.conversions;
+    call_counters.clip_events += local.clip_events;
+  };
+  run_range(batch, batch_serial(batch), run_samples, lane_grain(batch));
+
+  // Integer counter sums: the totals equal batch·phases mvm() calls at any
+  // thread count and partition.
+  const auto& cfg = layer_.config;
+  merge_stats(call_counters, std::int64_t{dac_cycles(cfg.input_bits,
+                                                     cfg.dac_bits)} *
+                                 batch * phases);
+}
+
 std::vector<std::int64_t> AnalogLayerSim::mvm_batch(
     const std::vector<std::int32_t>& xs, std::int64_t batch) {
   TINYADC_CHECK(batch >= 0, "negative batch");
@@ -1132,24 +1279,6 @@ std::vector<std::int64_t> AnalogLayerSim::mvm_batch(
   const auto cols = static_cast<std::size_t>(layer_.cols);
   std::vector<std::int64_t> y(static_cast<std::size_t>(batch) * cols, 0);
   if (batch == 0) return y;
-
-  if (!fused_batch_path()) {
-    // Per-sample executors run inline under a sample-parallel loop (nested
-    // parallel_for serializes). Each sample merges its own statistics —
-    // integer counter sums, so the totals are identical to `batch`
-    // sequential mvm() calls at any thread count.
-    run_range(batch, batch_serial(batch),
-              [&](std::int64_t b0, std::int64_t b1) {
-                std::vector<std::int32_t> x(n);
-                for (std::int64_t si = b0; si < b1; ++si) {
-                  const auto s = static_cast<std::size_t>(si);
-                  x.assign(xs.begin() + s * n, xs.begin() + (s + 1) * n);
-                  const auto yi = mvm(x);
-                  std::copy(yi.begin(), yi.end(), y.begin() + s * cols);
-                }
-              });
-    return y;
-  }
 
   const int code_bits = std::min(layer_.config.input_bits, 31);
   const auto fill = [&](std::int64_t b0, int lanes, std::int32_t* xt,
@@ -1173,7 +1302,10 @@ std::vector<std::int64_t> AnalogLayerSim::mvm_batch(
     for (std::size_t o = 0; o < cols; ++o)
       for (std::size_t s = 0; s < nl; ++s) yb[s * cols + o] = acc[o * nl + s];
   };
-  fused_batch(batch, 1, fill, emit);
+  if (fused_batch_path())
+    fused_batch(batch, 1, fill, emit);
+  else
+    sample_batch(batch, 1, fill, emit);
   return y;
 }
 
@@ -1251,26 +1383,11 @@ Tensor AnalogLayerSim::mvm_real_columns(const Tensor& x_cols,
   float* res = result.data();
   if (batch == 0) return result;
 
-  if (!fused_batch_path()) {
-    // Per-sample mvm_real / mvm_real_signed calls: the reference itself.
-    run_range(batch, batch_serial(batch),
-              [&](std::int64_t b0, std::int64_t b1) {
-                std::vector<float> x(n);
-                for (auto s = static_cast<std::size_t>(b0);
-                     s < static_cast<std::size_t>(b1); ++s) {
-                  for (std::size_t r = 0; r < n; ++r) x[r] = xs[r * b + s];
-                  const auto y = signed_input ? mvm_real_signed(x, x_quant)
-                                              : mvm_real(x, x_quant);
-                  for (std::size_t c = 0; c < cols; ++c) res[c * b + s] = y[c];
-                }
-              });
-    return result;
-  }
-
-  // Fused: each block's codes are quantized straight from the matrix rows
-  // into its lane buffer, so no batch-sized code array exists. The signed
-  // two-phase scheme streams the positive and the negative part as two
-  // phases, element for element the mvm_real_signed split.
+  // Each block's codes (a sample-loop sample is a block of one) are
+  // quantized straight from the matrix rows into its lane buffer, so no
+  // batch-sized code array exists. The signed two-phase scheme streams the
+  // positive and the negative part as two phases, element for element the
+  // mvm_real_signed split.
   const float scale = x_quant.scale * layer_.quant.scale;
   const auto fill = [&](std::int64_t b0, int lanes, std::int32_t* pos,
                         std::int32_t* neg) {
@@ -1302,7 +1419,11 @@ Tensor AnalogLayerSim::mvm_real_columns(const Tensor& x_cols,
       for (std::size_t s = 0; s < nl; ++s) ro[s] -= yn[s];
     }
   };
-  fused_batch(batch, signed_input ? 2 : 1, fill, emit);
+  const int phases = signed_input ? 2 : 1;
+  if (fused_batch_path())
+    fused_batch(batch, phases, fill, emit);
+  else
+    sample_batch(batch, phases, fill, emit);
   return result;
 }
 
@@ -1535,9 +1656,9 @@ std::unique_ptr<AnalogLayerSim> AnalogLayerSim::deserialize(
                       "layer " << layer.name << ": plan entry " << e
                                << " holds cell level " << level[e]);
         TINYADC_CHECK(std::isfinite(var[e]) && var[e] > 0.0F &&
-                          std::isfinite(denom[e]) && denom[e] > 0.0,
+                          std::isfinite(denom[e]) && denom[e] >= 1.0,
                       "layer " << layer.name << ": plan entry " << e
-                               << " holds non-finite analog factors");
+                               << " holds implausible analog factors");
       }
 
       // AoS → SoA conversion (into owned vectors; the ArrayRef members
@@ -1675,10 +1796,15 @@ std::unique_ptr<AnalogLayerSim> AnalogLayerSim::deserialize(
                       "layer " << layer.name
                                << ": plan slot slices recompose to "
                                << recomposed << ", magnitude says " << mag);
+        // The compiler writes 1 + α·depth·load ≥ 1. A divisor below 1
+        // could make the general path's w = level·var/denom infinite, and
+        // 0·inf = NaN would break its +0.0 identity (DESIGN.md §12).
         TINYADC_CHECK(std::isfinite(s.denom[i0 + i]) &&
-                          s.denom[i0 + i] > 0.0,
+                          s.denom[i0 + i] >= 1.0,
                       "layer " << layer.name
-                               << ": non-finite plan IR divisor");
+                               << ": plan IR divisor "
+                               << s.denom[i0 + i] << " is not a finite "
+                                  "value >= 1");
       }
     }
   }

@@ -38,21 +38,30 @@
 //   vector    ideal fallback (multi-bit DAC that may clip): per-cycle
 //             chunk gather + per-slice int64 multiply-accumulate over the
 //             rectangular level stream.
-//   general   non-ideal (variation / IR drop): each operand's chunks are
-//             gathered once per segment and its level·variation (and, on
-//             a 1-bit DAC, its IR-drop divide) formed once per (segment,
-//             slice), feeding one branch-free lane per DAC cycle that sums
-//             in the dense scan's operand order. Each lane equals the
-//             dense double bit for bit:
+//   general   non-ideal (variation / IR drop): per segment, only the
+//             operands with a nonzero activation code are gathered, and
+//             only the DAC cycles their OR-ed codes reach and the slices
+//             their OR-ed weight magnitudes reach (the live cycles and
+//             slices) are summed and converted. Each gathered operand's
+//             level·variation (and, on a 1-bit DAC, its IR-drop divide)
+//             is formed once per (segment, slice), feeding one
+//             branch-free lane per live cycle that sums in the dense
+//             scan's operand order. Each lane equals the dense double bit
+//             for bit:
 //             - exact numerator: cell_bits ≤ 8 and dac_bits ≤ 16 keep
 //               level·chunk < 2^24, and var is a float, so (level·chunk)·var
 //               and chunk·(level·var) are the same exact double;
 //             - divides: without IR drop every divisor is 1.0 and
 //               x/1.0 == x; on a 1-bit DAC chunk ∈ {0,1}, so the term is
 //               chunk·((level·var)/denom), one divide per operand;
-//             - +0.0 identity: zero levels, skipped by the dense scan, add
-//               +0.0, which changes no sum of non-negative terms (such a
-//               sum is never −0.0);
+//             - +0.0 identity: a zero level (skipped by the dense scan),
+//               a zero code or a zero chunk makes its term +0.0 — every
+//               w = level·var/denom is finite and ≥ 0, as the loader
+//               requires divisors ≥ 1 — and adding +0.0 changes no sum of
+//               non-negative terms (such a sum is never −0.0). So skipped
+//               zero codes change no bit, and a dead slice's or cycle's
+//               sum is +0.0, which converts to code 0 and never clips;
+//               its conversions are credited in bulk;
 //             - inline rounding: Adc::convert, the single rounding rule of
 //               every path, equals llround then the full-scale clamp.
 //
@@ -172,7 +181,7 @@ class AnalogLayerSim {
   /// bit-identical, dac_cycles advances once per sample). On the fused
   /// path it walks the plan streams once per block of up to 8 samples,
   /// one integer lane per sample — the serve path's multi-column fast
-  /// lane; other paths run per-sample mvm() calls.
+  /// lane; every other path runs the sample loop (see sample_batch).
   std::vector<std::int64_t> mvm_batch(const std::vector<std::int32_t>& xs,
                                       std::int64_t batch);
 
@@ -199,9 +208,10 @@ class AnalogLayerSim {
 
   /// mvm_real_batch over the columns of a (layer-rows × batch) matrix — a
   /// conv's im2col patch matrix, one sample per column — returning the
-  /// (layer-cols × batch) result matrix. The fused path quantizes each
-  /// block of up to 8 columns straight from the matrix rows into its sample
-  /// lanes, so no transposed copy or batch-sized code array is made.
+  /// (layer-cols × batch) result matrix. Both batch paths quantize straight
+  /// from the matrix (the fused path a block of up to 8 columns into its
+  /// sample lanes, the sample loop one column at a time), so no transposed
+  /// copy or batch-sized code array is made.
   Tensor mvm_real_columns(const Tensor& x_cols,
                           const xbar::QuantParams& x_quant, bool signed_input);
 
@@ -266,23 +276,44 @@ class AnalogLayerSim {
   void derive_aos_from_soa();
   void build_bit_planes();
 
+  // Caller-owned working memory of the plan executors, sized once per
+  // layer by make_kernel_scratch(), so no kernel allocates.
+  struct KernelScratch {
+    // general: nonzero operands' local slots, then their codes; vector:
+    // one cycle's gathered chunks.
+    std::vector<std::int32_t> ops;
+    std::vector<double> live_chunks;   // general: live chunks per operand
+    std::vector<std::uint64_t> words;  // bitslice: packed chunk words
+  };
+  // One sample's packed-MVM buffers: the flat DAC chunks (AoS and vector
+  // paths read them), the per-pair sums and the kernel scratch. One set
+  // serves every sample of a batch-loop range.
+  struct SampleScratch {
+    std::vector<std::int32_t> chunks;
+    std::vector<std::int64_t> pair_acc;
+    KernelScratch kernel;
+  };
+  KernelScratch make_kernel_scratch() const;
+  SampleScratch make_sample_scratch() const;
+
   // Per-sample executors: read layer_rows codes at `x`, add column sums
   // into the caller's per-pair slots. All executors convert pairs
   // [p0, p1) and accumulate that range's ADC counters.
   void exec_pairs_soa(const std::int32_t* x, const std::int32_t* chunks,
                       std::int64_t p0, std::int64_t p1,
-                      std::int64_t* pair_acc, AdcCounters& counters) const;
+                      std::int64_t* pair_acc, KernelScratch& scratch,
+                      AdcCounters& counters) const;
   void exec_pairs_aos(const std::int32_t* chunks, std::int64_t p0,
                       std::int64_t p1, std::int64_t* pair_acc,
                       AdcCounters& counters) const;
-  // The non-ideal general path, one instantiation per DAC cycle count
-  // (defined in analog_mvm.cpp).
-  template <int kCycles>
+  // The non-ideal general path (defined in analog_mvm.cpp).
   void exec_general(const std::int32_t* x, std::int64_t p0, std::int64_t p1,
-                    std::int64_t* pair_acc, AdcCounters& counters) const;
+                    std::int64_t* pair_acc, KernelScratch& scratch,
+                    AdcCounters& counters) const;
 
   // Batch dispatch: fan samples out only above the plan-work threshold;
-  // the fused sample lanes serve the fused path (see fused_batch).
+  // the fused sample lanes serve the fused path (see fused_batch), the
+  // sample loop every other path (see sample_batch).
   bool batch_serial(std::int64_t batch) const;
   bool fused_batch_path() const;
   // The fused batch: samples run in blocks of 8, 4 or 1 lanes (the widest
@@ -294,9 +325,24 @@ class AnalogLayerSim {
   template <typename Fill, typename Emit>
   void fused_batch(std::int64_t batch, int phases, const Fill& fill,
                    const Emit& emit);
+  // The non-fused batch: each worker range owns one code buffer, one
+  // column-sum buffer and one SampleScratch, and runs its samples one at
+  // a time through the layer's executor (or the dense scan). Each sample
+  // is a one-lane block of the fused_batch contract: fill(s, 1, pos, neg)
+  // writes its codes, emit(s, 1, y_pos, y_neg) takes its column sums.
+  // Counters merge once per call. Defined in analog_mvm.cpp.
+  template <typename Fill, typename Emit>
+  void sample_batch(std::int64_t batch, int phases, const Fill& fill,
+                    const Emit& emit);
 
-  std::vector<std::int64_t> mvm_packed(const std::vector<std::int32_t>& x);
-  std::vector<std::int64_t> mvm_dense(const std::vector<std::int32_t>& x);
+  // One sample through the packed plan or the dense scan: validates the
+  // codes at `x`, writes the layer_cols column sums to `y` and adds the
+  // ADC counters to `counters` (the caller merges the statistics). A big
+  // plan outside a parallel region fans its pairs out over the pool.
+  void packed_sample(const std::int32_t* x, SampleScratch& scratch,
+                     std::int64_t* y, AdcCounters& counters) const;
+  void dense_sample(const std::int32_t* x, std::int64_t* y,
+                    AdcCounters& counters) const;
   // Validates one sample's codes and splits them into the flat per-cycle
   // chunk buffer ([t*n + r] layout) when `chunks` is non-null.
   void dac_split(const std::int32_t* x, std::int32_t* chunks) const;

@@ -553,6 +553,10 @@ TEST(ArtifactVersioning, CorruptV3PlanStreamsRaiseCheckError) {
   }
   expect_throws(tampered(off_var, -1.0F), "negative variation factor");
   expect_throws(tampered(off_denom, 0.0), "zero IR divisor");
+  // The compiler writes divisors 1 + α·depth·load ≥ 1; a smaller one
+  // could make a hoisted level·var/denom infinite.
+  expect_throws(tampered(off_denom, 1e-300), "IR divisor below 1");
+  expect_throws(tampered(off_denom, 0.999), "IR divisor below 1");
   // Truncation inside each stream: the element-budget guard must fire.
   for (const std::size_t cut : {off_row + 3, off_level + 5, off_denom + 1})
     expect_throws(std::vector<char>(base.begin(),

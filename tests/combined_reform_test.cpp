@@ -136,8 +136,9 @@ TEST_P(CombinedExactness, ReformedAnalogMvmIsExact) {
   }
   EXPECT_EQ(sim.stats().adc_clip_events, 0);
   // Structured reform converted into block reduction.
-  if (remove_filters >= dims.cols || remove_shapes >= dims.rows)
+  if (remove_filters >= dims.cols || remove_shapes >= dims.rows) {
     EXPECT_LT(layer.total_blocks(), layer.dense_blocks());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -65,7 +65,9 @@ TEST(Mapping, ZerosStayExactlyZero) {
   const auto layer = map_matrix(m, "l", small_config());
   const Tensor back = layer.demap();
   for (std::int64_t i = 0; i < m.numel(); ++i)
-    if (m.at(i) == 0.0F) EXPECT_EQ(back.at(i), 0.0F);
+    if (m.at(i) == 0.0F) {
+      EXPECT_EQ(back.at(i), 0.0F);
+    }
 }
 
 TEST(Mapping, CensusCountsPerBlockColumn) {

@@ -51,6 +51,26 @@ std::vector<std::int32_t> random_codes(std::int64_t n, int bits,
   return x;
 }
 
+/// Post-ReLU-like activation codes: about two thirds zeros, most of the
+/// rest small (only the low half of the bits in use) and about one in
+/// forty at full scale. Uniform codes are almost never zero and OR to
+/// full width in every segment; these reach the general path's zero-code
+/// skip, its all-zero segments and its dead DAC cycles.
+std::vector<std::int32_t> relu_codes(std::int64_t n, int bits,
+                                     std::uint64_t seed) {
+  tinyadc::Rng rng(seed);
+  const std::int32_t full = (1 << bits) - 1;
+  const std::uint64_t small = std::uint64_t{1} << std::max(1, bits / 2);
+  std::vector<std::int32_t> x(static_cast<std::size_t>(n));
+  for (auto& v : x) {
+    const double u = rng.uniform();
+    v = u < 0.65    ? 0
+        : u < 0.975 ? 1 + static_cast<std::int32_t>(rng.uniform_int(small - 1))
+                    : full;
+  }
+  return x;
+}
+
 /// Golden bit-exactness sweep: CP sparsity l ∈ {4, 16, 128} × thread count
 /// ∈ {1, 4}, each under four non-ideality settings (ideal, variation,
 /// IR drop, both).
@@ -574,6 +594,15 @@ void expect_general_matches_dense(const xbar::MappedLayer& layer,
     const auto x = random_codes(layer.rows, input_bits, seed);
     EXPECT_EQ(packed.mvm(x), dense.mvm(x)) << what << " seed=" << seed;
   }
+  for (std::uint64_t seed : {54ULL, 55ULL, 56ULL}) {
+    const auto x = relu_codes(layer.rows, input_bits, seed);
+    EXPECT_EQ(packed.mvm(x), dense.mvm(x))
+        << what << " post-ReLU seed=" << seed;
+  }
+  std::vector<std::int32_t> x(static_cast<std::size_t>(layer.rows), 0);
+  EXPECT_EQ(packed.mvm(x), dense.mvm(x)) << what << " all-zero input";
+  x[static_cast<std::size_t>(layer.rows / 3)] = (1 << input_bits) - 1;
+  EXPECT_EQ(packed.mvm(x), dense.mvm(x)) << what << " one full-scale code";
   EXPECT_EQ(packed.stats().adc_conversions, dense.stats().adc_conversions)
       << what;
   EXPECT_EQ(packed.stats().adc_clip_events, dense.stats().adc_clip_events)
@@ -688,6 +717,126 @@ TEST(GeneralPath, BatchMatchesPerSampleUnderVariation) {
       EXPECT_EQ(batched.stats().adc_clip_events,
                 serial.stats().adc_clip_events);
       EXPECT_EQ(batched.stats().dac_cycles, serial.stats().dac_cycles);
+
+      // Post-ReLU-like codes: zero-code skips and dead cycles.
+      std::vector<std::int32_t> rs;
+      for (std::int64_t s = 0; s < kBatch; ++s) {
+        const auto x = relu_codes(layer.rows, map_cfg.input_bits,
+                                  700 + static_cast<std::uint64_t>(s));
+        rs.insert(rs.end(), x.begin(), x.end());
+      }
+      const auto yr = batched.mvm_batch(rs, kBatch);
+      for (std::int64_t s = 0; s < kBatch; ++s) {
+        const std::vector<std::int32_t> x(rs.begin() + s * layer.rows,
+                                          rs.begin() + (s + 1) * layer.rows);
+        const std::vector<std::int64_t> row(yr.begin() + s * layer.cols,
+                                            yr.begin() + (s + 1) * layer.cols);
+        EXPECT_EQ(row, serial.mvm(x)) << "post-ReLU sample " << s
+                                      << " threads=" << threads
+                                      << " alpha=" << alpha;
+      }
+      EXPECT_EQ(batched.stats().adc_conversions,
+                serial.stats().adc_conversions);
+      EXPECT_EQ(batched.stats().adc_clip_events,
+                serial.stats().adc_clip_events);
+      EXPECT_EQ(batched.stats().dac_cycles, serial.stats().dac_cycles);
+    }
+  }
+  runtime::set_thread_count(0);
+}
+
+/// The non-fused sample loop of mvm_real_columns against per-sample
+/// mvm_real / mvm_real_signed calls on a packed sim and on a dense sim.
+/// The columns are post-ReLU-like (mostly zeros, small values, a few past
+/// full scale), plus an all-zero column, a column with one full-scale
+/// code and a saturating column. The cases reach the zero-code skip and
+/// the dead-cycle bound under the hoisted divide (with and without IR
+/// drop), the per-cycle IR-drop divide of a multi-bit DAC, and a clipping
+/// ADC. Outputs and all three counters, at 1 and 4 threads.
+TEST(GeneralPath, ColumnsMatchPerSampleOnPostReluInputs) {
+  const Tensor m = cp_matrix(16, 600);
+  struct Case {
+    const char* name;
+    int dac_bits;
+    double alpha;
+    int under_bits;  // ADC bits below Eq. 1 (0: Eq. 1 sizing)
+  };
+  const Case cases[] = {{"1-bit DAC", 1, 0.0, 0},
+                        {"1-bit DAC, IR drop", 1, 0.3, 0},
+                        {"2-bit DAC, IR drop", 2, 0.3, 0},
+                        {"clipping ADC", 1, 0.0, 2}};
+  xbar::QuantParams q;
+  q.bits = 8;
+  q.scale = 0.043F;
+  const float full = 255.0F * q.scale;
+  constexpr std::int64_t kRandom = 19;
+  constexpr std::int64_t kBatch = kRandom + 3;
+  for (const Case& c : cases) {
+    xbar::MappingConfig map_cfg;
+    map_cfg.dac_bits = c.dac_bits;
+    const auto layer = xbar::map_matrix(m, "l", map_cfg);
+    MsimConfig cfg = nonideal(0.1, c.alpha);
+    if (c.under_bits > 0)
+      cfg.adc_bits_override = layer.required_adc_bits() - c.under_bits;
+    MsimConfig dense_cfg = cfg;
+    dense_cfg.use_plan = false;
+
+    tinyadc::Rng rng(601);
+    Tensor xcols({layer.rows, kBatch});  // zero-filled
+    for (std::int64_t r = 0; r < layer.rows; ++r) {
+      for (std::int64_t s = 0; s < kRandom; ++s) {
+        const double u = rng.uniform();
+        xcols.at(r, s) = u < 0.65    ? 0.0F
+                         : u < 0.975 ? rng.uniform(0.0F, 16.0F * q.scale)
+                                     : 1.5F * full;
+      }
+      xcols.at(r, kRandom + 2) = full;  // saturating column
+    }
+    // Column kRandom stays all-zero; kRandom + 1 holds one full-scale code.
+    xcols.at(layer.rows / 3, kRandom + 1) = full;
+
+    for (const bool signed_input : {false, true}) {
+      Tensor xin = xcols.clone();
+      if (signed_input)
+        for (std::int64_t i = 0; i < xin.numel(); ++i)
+          if (rng.uniform() < 0.5) xin.data()[i] = -xin.data()[i];
+      for (const int threads : {1, 4}) {
+        runtime::set_thread_count(threads);
+        const std::string what = std::string(c.name) +
+                                 " signed=" + std::to_string(signed_input) +
+                                 " threads=" + std::to_string(threads);
+        AnalogLayerSim batched(layer, cfg);
+        AnalogLayerSim serial(layer, cfg);
+        AnalogLayerSim dense(layer, dense_cfg);
+        const Tensor yc = batched.mvm_real_columns(xin, q, signed_input);
+        ASSERT_EQ(yc.shape(), (Shape{layer.cols, kBatch}));
+        for (std::int64_t s = 0; s < kBatch; ++s) {
+          std::vector<float> x(static_cast<std::size_t>(layer.rows));
+          for (std::int64_t r = 0; r < layer.rows; ++r)
+            x[static_cast<std::size_t>(r)] = xin.at(r, s);
+          const auto y = signed_input ? serial.mvm_real_signed(x, q)
+                                      : serial.mvm_real(x, q);
+          const auto yd = signed_input ? dense.mvm_real_signed(x, q)
+                                       : dense.mvm_real(x, q);
+          EXPECT_EQ(y, yd) << what << " sample " << s;
+          for (std::int64_t o = 0; o < layer.cols; ++o)
+            EXPECT_EQ(yc.at(o, s), y[static_cast<std::size_t>(o)])
+                << what << " sample " << s << " column " << o;
+        }
+        for (const AnalogLayerSim* ref : {&serial, &dense}) {
+          EXPECT_EQ(batched.stats().adc_conversions,
+                    ref->stats().adc_conversions)
+              << what;
+          EXPECT_EQ(batched.stats().adc_clip_events,
+                    ref->stats().adc_clip_events)
+              << what;
+          EXPECT_EQ(batched.stats().dac_cycles, ref->stats().dac_cycles)
+              << what;
+        }
+        if (c.under_bits > 0) {
+          EXPECT_GT(batched.stats().adc_clip_events, 0) << what;
+        }
+      }
     }
   }
   runtime::set_thread_count(0);

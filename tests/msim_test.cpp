@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <tuple>
+#include <utility>
 
 #include "core/projection.hpp"
 #include "msim/analog_mvm.hpp"
@@ -97,6 +99,21 @@ TEST(Adc, InlineRoundingMatchesLlroundThenClamp) {
           << "bits=" << bits << " v=" << v;
       EXPECT_EQ(counters.conversions, 1);
     }
+  }
+}
+
+TEST(Adc, NonFiniteSumsFollowTheContract) {
+  // NaN converts to 0 without a clip; ±inf saturate like any sum past
+  // either end of the range.
+  const Adc adc(5);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double, std::int64_t> cases[] = {
+      {nan, 0}, {-nan, 0}, {inf, 31}, {-inf, 0}};
+  for (const auto& [v, want] : cases) {
+    AdcCounters counters;
+    EXPECT_EQ(adc.convert(v, counters), want) << "v=" << v;
+    EXPECT_EQ(counters.clip_events, v == inf ? 1 : 0) << "v=" << v;
   }
 }
 

@@ -67,8 +67,9 @@ TEST(Pipeline, BalancingHitsTargetInterval) {
   // Replication is minimal: no stage is replicated beyond what its own
   // stage time requires.
   for (const auto& st : balanced.stages) {
-    if (st.replication > 1)
+    if (st.replication > 1) {
       EXPECT_GT(st.stage_time_s / (st.replication - 1), target);
+    }
   }
 }
 

@@ -72,8 +72,9 @@ TEST(Sensitivity, ZeroToleranceMeansConservativeRates) {
     if (!strict[i].enabled) continue;
     // Larger keep = milder pruning. keep==0 means "no constraint chosen".
     ASSERT_EQ(loose[i].cp_keep, 1);  // tolerance 1.0 accepts the 8x rate
-    if (strict[i].cp_keep != 0)
+    if (strict[i].cp_keep != 0) {
       EXPECT_GE(strict[i].cp_keep, loose[i].cp_keep);
+    }
   }
 }
 

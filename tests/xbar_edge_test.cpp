@@ -108,8 +108,9 @@ TEST(MapModelSelections, MatchesPipelineReform) {
               layer.cols - specs[i].remove_filters)
         << layer.name;
     // CP budget holds on the reformed tiling.
-    if (specs[i].cp_keep > 0)
+    if (specs[i].cp_keep > 0) {
       EXPECT_LE(layer.max_active_rows(), specs[i].cp_keep) << layer.name;
+    }
   }
   // Selections-based mapping never reports less reduction than spec-based
   // inference (they agree when no CP zeros confuse the inference).

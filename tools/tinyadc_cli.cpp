@@ -9,19 +9,19 @@
 //   serve   push the test set through the concurrent serving engine
 //   loadgen closed-loop load generator at a target QPS over the engine
 //
-// Examples:
+// Examples (an indented line continues the command above it):
 //   tinyadc train --net resnet18 --dataset cifar10 --epochs 10 --out m.bin
-//   tinyadc prune --net resnet18 --dataset cifar10 --in m.bin --cp-rate 8 \
+//   tinyadc prune --net resnet18 --dataset cifar10 --in m.bin --cp-rate 8
 //                 --out pruned.bin
 //   tinyadc map --net resnet18 --in pruned.bin --xbar 128
 //   tinyadc report --net resnet18 --in pruned.bin
-//   tinyadc fault --net resnet18 --dataset cifar10 --in pruned.bin \
+//   tinyadc fault --net resnet18 --dataset cifar10 --in pruned.bin
 //                 --rate 0.10 --remap
-//   tinyadc serve --net resnet18 --dataset cifar10 --in pruned.bin \
+//   tinyadc serve --net resnet18 --dataset cifar10 --in pruned.bin
 //                 --workers 4 --max-batch 8
-//   tinyadc loadgen --net resnet18 --dataset cifar10 --in pruned.bin \
+//   tinyadc loadgen --net resnet18 --dataset cifar10 --in pruned.bin
 //                 --qps 200 --requests 512 --json
-//   tinyadc prune --net resnet18 --dataset cifar10 --in m.bin --cp-rate 8 \
+//   tinyadc prune --net resnet18 --dataset cifar10 --in m.bin --cp-rate 8
 //                 --save-artifact deploy.tadc
 //   tinyadc serve --artifact deploy.tadc --dataset cifar10 --workers 4
 #include <atomic>
