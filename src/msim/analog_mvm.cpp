@@ -20,15 +20,6 @@
 #define TINYADC_PREFETCH(addr) ((void)0)
 #endif
 
-// Vectorized popcount for the bitslice path: TINYADC_NATIVE=ON builds on
-// AVX-512 VPOPCNTDQ hardware (Ice Lake+) get the intrinsic lane below.
-#if defined(__AVX512VPOPCNTDQ__) && defined(__AVX512F__)
-#include <immintrin.h>
-#define TINYADC_HAS_VPOPCNTQ 1
-#else
-#define TINYADC_HAS_VPOPCNTQ 0
-#endif
-
 namespace tinyadc::msim {
 
 namespace {
@@ -57,49 +48,6 @@ bool plan_ideal_for(const xbar::MappedLayer& layer, const MsimConfig& config,
       static_cast<double>(max_rows);
   return !has_variation && config.ir_drop_alpha <= 0.0 &&
          worst_plane_sum < 9007199254740992.0;  // 2^53
-}
-
-/// Integer-domain ADC conversion, inlined for the plan fast paths. The
-/// ideal datapath's analog sum is an exact non-negative integer, so
-/// Adc::convert's llround is the identity and only the saturation remains.
-/// Counters are bulk-added by the caller (conversions) / here (clips).
-inline std::int64_t adc_code_int(std::int64_t isum, int bits,
-                                 std::int64_t full_scale,
-                                 std::int64_t& clip_events) {
-  if (bits == 0) return 0;
-  if (isum > full_scale) {
-    ++clip_events;
-    return full_scale;
-  }
-  return isum;
-}
-
-/// Population count of `a[i] & b[i]` over `n` words — the bitslice path's
-/// plane reduction. Dispatch is compile-time: eligibility is a property of
-/// the target ISA, not the input. On AVX-512 VPOPCNTDQ targets the AND and
-/// popcount of eight words fuse into two instructions per 512-bit lane;
-/// elsewhere std::popcount lowers to hardware POPCNT (-march=native) or the
-/// portable SWAR sequence. Bit-exact either way: both sides count the same
-/// set bits, and the int64 accumulator cannot overflow (≤ 64 per word).
-inline std::int64_t popcount_and_words(const std::uint64_t* a,
-                                       const std::uint64_t* b,
-                                       std::size_t n) {
-#if TINYADC_HAS_VPOPCNTQ
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_and_si512(va, vb)));
-  }
-  std::int64_t pc = _mm512_reduce_add_epi64(acc);
-  for (; i < n; ++i) pc += std::popcount(a[i] & b[i]);
-  return pc;
-#else
-  std::int64_t pc = 0;
-  for (std::size_t i = 0; i < n; ++i) pc += std::popcount(a[i] & b[i]);
-  return pc;
-#endif
 }
 
 /// The fused plan streams as the batched fused lanes read them.
@@ -301,7 +249,7 @@ void serialize(const MsimConfig& config, artifact::SectionWriter& w) {
   w.pod(config.ir_drop_alpha);
   w.pod(config.seed);
   w.pod(static_cast<std::uint8_t>(config.use_plan ? 1 : 0));
-  w.pod(static_cast<std::uint8_t>(config.plan_kernel));
+  w.pod(std::uint8_t{0});  // kernel byte (see deserialize_msim_config)
 }
 
 MsimConfig deserialize_msim_config(artifact::SectionReader& r,
@@ -313,10 +261,12 @@ MsimConfig deserialize_msim_config(artifact::SectionReader& r,
   config.seed = r.pod<std::uint64_t>();
   config.use_plan = r.pod<std::uint8_t>() != 0;
   if (version >= 2) {
+    // The kernel byte once chose among four plan executors (0..3). Each
+    // plan now runs the path its datapath implies, and every executor was
+    // bit-identical, so any stored choice loads as the one path there is.
     const auto kernel = r.pod<std::uint8_t>();
-    TINYADC_CHECK(kernel <= static_cast<std::uint8_t>(PlanKernel::kBitslice),
+    TINYADC_CHECK(kernel <= 3,
                   "implausible plan kernel " << static_cast<int>(kernel));
-    config.plan_kernel = static_cast<PlanKernel>(kernel);
   }
   TINYADC_CHECK(config.adc_bits_override >= -1 &&
                     config.adc_bits_override <= 32,
@@ -526,32 +476,10 @@ void AnalogLayerSim::finalize_plan() {
   }
 
   // Execution-path resolution (DESIGN.md §12). The fused collapse requires
-  // the clip-free guarantee; the bitslice packing requires an ideal 1-bit
-  // DAC datapath. Everything else runs the vector (ideal) or general
-  // (non-ideal) sweep. kAos sidesteps the SoA executor entirely.
+  // the clip-free guarantee; every other plan, ideal or not, runs the
+  // general lanes.
   const bool clip_free = plan_ideal_ && worst_plane_sum_ <= adc_.full_scale();
-  const bool bits_ok = plan_ideal_ && cfg.dac_bits == 1;
-  switch (config_.plan_kernel) {
-    case PlanKernel::kAuto:
-      exec_path_ = clip_free ? ExecPath::kFused
-                   : bits_ok ? ExecPath::kBitslice
-                   : plan_ideal_ ? ExecPath::kVector
-                                 : ExecPath::kGeneral;
-      break;
-    case PlanKernel::kAos:
-      exec_path_ = plan_ideal_ ? ExecPath::kVector : ExecPath::kGeneral;
-      derive_aos_from_soa();
-      break;
-    case PlanKernel::kSoa:
-      exec_path_ = plan_ideal_ ? ExecPath::kVector : ExecPath::kGeneral;
-      break;
-    case PlanKernel::kBitslice:
-      exec_path_ = bits_ok ? ExecPath::kBitslice
-                   : plan_ideal_ ? ExecPath::kVector
-                                 : ExecPath::kGeneral;
-      break;
-  }
-  if (exec_path_ == ExecPath::kBitslice) build_bit_planes();
+  exec_path_ = clip_free ? ExecPath::kFused : ExecPath::kGeneral;
   if (exec_path_ == ExecPath::kGeneral) {
     // The general lanes' exactness envelope (see exec_general): the same
     // precisions the artifact mapping validator accepts.
@@ -559,7 +487,7 @@ void AnalogLayerSim::finalize_plan() {
                       dac_cycles(cfg.input_bits, cfg.dac_bits) <=
                           kMaxGeneralCycles,
                   "layer " << layer_.name
-                           << ": non-ideal simulation needs cell_bits <= 8, "
+                           << ": the general path needs cell_bits <= 8, "
                               "dac_bits <= 16 and at most 16 DAC cycles");
     unit_denom_ = std::all_of(soa_denom_.begin(), soa_denom_.end(),
                               [](double d) { return d == 1.0; });
@@ -567,8 +495,8 @@ void AnalogLayerSim::finalize_plan() {
 
   // Per-MVM work estimate for the parallel dispatch threshold: row slots,
   // weighted by the per-slot inner-loop cost of the resolved path. The
-  // fused path touches each slot about once per polarity sweep; the other
-  // paths revisit each slot per (slice, cycle) plane.
+  // fused path touches each slot about once per polarity sweep; the
+  // general path revisits each slot per (slice, cycle) plane.
   const auto total_slots =
       soa_seg_.empty() ? std::uint64_t{0} : soa_seg_.back();
   const int cycles = dac_cycles(cfg.input_bits, cfg.dac_bits);
@@ -579,98 +507,13 @@ void AnalogLayerSim::finalize_plan() {
   plan_work_ = static_cast<std::int64_t>(total_slots) * per_slot;
 }
 
-void AnalogLayerSim::derive_aos_from_soa() {
-  // Reconstructs the PR-3 array-of-structs plan from the SoA streams: per
-  // (pair, polarity, slice) plane, the non-zero-level slots in ascending
-  // row order. Used both after build_plan and after an artifact load, so a
-  // restored kAos sim executes byte-identical entry arrays.
-  const int slices = layer_.config.slices();
-  const std::size_t npairs = soa_out_.size();
-  plan_pairs_.clear();
-  plan_offsets_.clear();
-  plan_x_.clear();
-  plan_level_.clear();
-  plan_var_.clear();
-  plan_denom_.clear();
-  plan_pairs_.reserve(npairs);
-  plan_offsets_.reserve(npairs * 2 * static_cast<std::size_t>(slices) + 1);
-  plan_offsets_.push_back(0);
-  for (std::size_t pi = 0; pi < npairs; ++pi) {
-    PairRef pair;
-    pair.out = soa_out_[pi];
-    pair.plane0 = plan_offsets_.size() - 1;
-    plan_pairs_.push_back(pair);
-    for (int pol = 0; pol < 2; ++pol) {
-      const std::size_t k = 2 * pi + static_cast<std::size_t>(pol);
-      const std::size_t i0 = soa_seg_[k], len = soa_seg_[k + 1] - i0;
-      const std::size_t lbase = i0 * static_cast<std::size_t>(slices);
-      for (int s = 0; s < slices; ++s) {
-        const std::size_t sbase = lbase + static_cast<std::size_t>(s) * len;
-        for (std::size_t i = 0; i < len; ++i) {
-          const std::int32_t level = soa_level_[sbase + i];
-          if (level == 0) continue;
-          plan_x_.push_back(soa_row_[i0 + i]);
-          plan_level_.push_back(level);
-          plan_var_.push_back(soa_var_[sbase + i]);
-          plan_denom_.push_back(soa_denom_[i0 + i]);
-        }
-        plan_offsets_.push_back(plan_x_.size());
-      }
-    }
-  }
-}
-
-void AnalogLayerSim::build_bit_planes() {
-  // Packs each segment's slice levels into bit planes, 64 cells per word:
-  // bit b of slice s lands in plane p = s·cell_bits + b, and local row i
-  // sets bit i%64 of word i/64. A plane sum then becomes
-  // Σ_b popcount(plane_word & chunk_word) · 2^b.
-  const auto& cfg = layer_.config;
-  const int slices = cfg.slices();
-  const int planes = slices * cfg.cell_bits;
-  const std::size_t nseg = soa_seg_.empty() ? 0 : soa_seg_.size() - 1;
-  bs_base_.assign(nseg + 1, 0);
-  for (std::size_t k = 0; k < nseg; ++k) {
-    const std::size_t words = (soa_seg_[k + 1] - soa_seg_[k] + 63) / 64;
-    bs_base_[k + 1] = bs_base_[k] + words * static_cast<std::size_t>(planes);
-  }
-  bs_words_.assign(bs_base_[nseg], 0);
-  for (std::size_t k = 0; k < nseg; ++k) {
-    const std::size_t i0 = soa_seg_[k], len = soa_seg_[k + 1] - i0;
-    const std::size_t words = (len + 63) / 64;
-    const std::size_t lbase = i0 * static_cast<std::size_t>(slices);
-    for (int s = 0; s < slices; ++s) {
-      const std::size_t sbase = lbase + static_cast<std::size_t>(s) * len;
-      for (std::size_t i = 0; i < len; ++i) {
-        const auto level = static_cast<std::uint32_t>(soa_level_[sbase + i]);
-        for (int b = 0; b < cfg.cell_bits; ++b) {
-          if (((level >> b) & 1U) == 0) continue;
-          const std::size_t p = static_cast<std::size_t>(s * cfg.cell_bits + b);
-          bs_words_[bs_base_[k] + p * words + i / 64] |=
-              std::uint64_t{1} << (i % 64);
-        }
-      }
-    }
-  }
-}
-
-void AnalogLayerSim::dac_split(const std::int32_t* x,
-                               std::int32_t* chunks) const {
-  const auto& cfg = layer_.config;
-  const int cycles = dac_cycles(cfg.input_bits, cfg.dac_bits);
-  const std::int32_t mask = (1 << cfg.dac_bits) - 1;
+void AnalogLayerSim::check_codes(const std::int32_t* x) const {
+  const int bits = layer_.config.input_bits;
   const auto n = static_cast<std::size_t>(layer_.rows);
-  for (std::size_t r = 0; r < n; ++r) {
-    std::int32_t rest = x[r];
-    TINYADC_CHECK(rest >= 0 && rest < (std::int64_t{1} << cfg.input_bits),
-                  "activation code " << x[r] << " exceeds " << cfg.input_bits
+  for (std::size_t r = 0; r < n; ++r)
+    TINYADC_CHECK(x[r] >= 0 && x[r] < (std::int64_t{1} << bits),
+                  "activation code " << x[r] << " exceeds " << bits
                                      << " bits");
-    if (chunks == nullptr) continue;
-    for (int t = 0; t < cycles; ++t) {
-      chunks[static_cast<std::size_t>(t) * n + r] = rest & mask;
-      rest >>= cfg.dac_bits;
-    }
-  }
 }
 
 std::vector<std::int64_t> AnalogLayerSim::mvm(
@@ -697,36 +540,15 @@ AnalogLayerSim::KernelScratch AnalogLayerSim::make_kernel_scratch() const {
       static_cast<std::size_t>(dac_cycles(cfg.input_bits, cfg.dac_bits));
   const std::size_t len = std::max<std::size_t>(max_seg_len_, 1);
   KernelScratch k;
-  if (config_.plan_kernel == PlanKernel::kAos) return k;
-  switch (exec_path_) {
-    case ExecPath::kFused:
-      break;
-    case ExecPath::kBitslice:
-      k.words.resize(cycles * ((len + 63) / 64));
-      break;
-    case ExecPath::kVector:
-      k.ops.resize(len);
-      break;
-    case ExecPath::kGeneral:
-      k.ops.resize(2 * len);
-      k.live_chunks.resize(len * cycles);
-      break;
+  if (exec_path_ == ExecPath::kGeneral) {
+    k.ops.resize(2 * len);
+    k.live_chunks.resize(len * cycles);
   }
   return k;
 }
 
 AnalogLayerSim::SampleScratch AnalogLayerSim::make_sample_scratch() const {
-  const auto& cfg = layer_.config;
-  const int cycles = dac_cycles(cfg.input_bits, cfg.dac_bits);
   SampleScratch s;
-  // DAC chunks flattened into one contiguous buffer: chunk t of row r sits
-  // at [t*n + r], so plan entries index a cycle's chunks directly by their
-  // packed row index. The fused, bitslice and general paths read the
-  // codes directly and skip the split.
-  if (config_.plan_kernel == PlanKernel::kAos ||
-      exec_path_ == ExecPath::kVector)
-    s.chunks.resize(static_cast<std::size_t>(cycles) *
-                    static_cast<std::size_t>(layer_.rows));
   s.pair_acc.resize(soa_out_.size());
   s.kernel = make_kernel_scratch();
   return s;
@@ -802,222 +624,59 @@ void AnalogLayerSim::exec_general(const std::int32_t* x, std::int64_t p0,
   counters.clip_events += live.clip_events;
 }
 
-void AnalogLayerSim::exec_pairs_soa(const std::int32_t* x,
-                                    const std::int32_t* chunks,
-                                    std::int64_t p0, std::int64_t p1,
-                                    std::int64_t* pair_acc,
-                                    KernelScratch& scratch,
-                                    AdcCounters& counters) const {
-  const auto& cfg = layer_.config;
-  const int slices = cfg.slices();
-  const int cycles = dac_cycles(cfg.input_bits, cfg.dac_bits);
-  const auto n = static_cast<std::size_t>(layer_.rows);
-  const int bits = adc_.bits();
-  const std::int64_t full_scale = adc_.full_scale();
-  const std::int64_t conv_per_pair = std::int64_t{2} * slices * cycles;
-
-  switch (exec_path_) {
-    case ExecPath::kFused: {
-      // Clip-free ideal datapath: every conversion returns its plane sum
-      // exactly, so the shift-and-add telescopes into Σ ± |q_i|·x_i per
-      // polarity (DESIGN.md §12). No DAC chunks, no per-plane loop.
-      const bool narrow = worst_fused_sum_ <= INT32_MAX;
-      for (std::int64_t pi = p0; pi < p1; ++pi) {
-        const std::size_t k0 = 2 * static_cast<std::size_t>(pi);
-        if (pi + 1 < p1) {
-          // One pair ahead (~2–4 cache lines of stream data) hides the
-          // stream-load latency behind the current pair's arithmetic.
-          const std::size_t nx = soa_seg_[k0 + 2];
-          TINYADC_PREFETCH(soa_mag_.data() + nx);
-          TINYADC_PREFETCH(soa_row_.data() + nx);
-        }
-        std::int64_t acc = 0;
-        for (int pol = 0; pol < 2; ++pol) {
-          const std::size_t i0 = soa_seg_[k0 + static_cast<std::size_t>(pol)];
-          const std::size_t i1 =
-              soa_seg_[k0 + static_cast<std::size_t>(pol) + 1];
-          std::int64_t part;
-          if (narrow) {
-            std::int32_t p32 = 0;
-            for (std::size_t i = i0; i < i1; ++i)
-              p32 += soa_mag_[i] * x[soa_row_[i]];
-            part = p32;
-          } else {
-            std::int64_t p64 = 0;
-            for (std::size_t i = i0; i < i1; ++i)
-              p64 += static_cast<std::int64_t>(soa_mag_[i]) * x[soa_row_[i]];
-            part = p64;
-          }
-          acc += pol == 0 ? part : -part;
-        }
-        pair_acc[pi] = acc;
-        counters.conversions += conv_per_pair;
-      }
-      return;
-    }
-    case ExecPath::kBitslice: {
-      // Ideal 1-bit DAC: cycle t's chunk of code x is just bit t, so the
-      // chunk words pack straight from x and every plane sum is a handful
-      // of popcounts over the packed level bit planes.
-      std::uint64_t* cw = scratch.words.data();
-      for (std::int64_t pi = p0; pi < p1; ++pi) {
-        std::int64_t acc = 0;
-        std::int64_t convs = 0;
-        for (int pol = 0; pol < 2; ++pol) {
-          const std::size_t k =
-              2 * static_cast<std::size_t>(pi) + static_cast<std::size_t>(pol);
-          const std::size_t i0 = soa_seg_[k], len = soa_seg_[k + 1] - i0;
-          const std::size_t words = (len + 63) / 64;
-          if (pi + 1 < p1)
-            TINYADC_PREFETCH(bs_words_.data() + bs_base_[k + 2]);
-          std::fill(cw, cw + static_cast<std::size_t>(cycles) * words, 0);
-          for (std::size_t i = 0; i < len; ++i) {
-            const auto xv = static_cast<std::uint32_t>(x[soa_row_[i0 + i]]);
-            const std::size_t w = i / 64;
-            const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-            for (int t = 0; t < cycles; ++t)
-              if ((xv >> t) & 1U) cw[static_cast<std::size_t>(t) * words + w] |=
-                  bit;
-          }
-          const std::uint64_t* plane0 = bs_words_.data() + bs_base_[k];
-          for (int s = 0; s < slices; ++s) {
-            const int sshift = s * cfg.cell_bits;
-            for (int t = 0; t < cycles; ++t) {
-              const std::uint64_t* ct =
-                  cw + static_cast<std::size_t>(t) * words;
-              std::int64_t isum = 0;
-              for (int b = 0; b < cfg.cell_bits; ++b) {
-                const std::uint64_t* pw =
-                    plane0 +
-                    static_cast<std::size_t>(sshift + b) * words;
-                isum += popcount_and_words(pw, ct, words) << b;
-              }
-              const std::int64_t code =
-                  adc_code_int(isum, bits, full_scale, counters.clip_events);
-              acc += (pol == 0 ? 1 : -1) *
-                     (code << (sshift + t * cfg.dac_bits));
-              ++convs;
-            }
-          }
-        }
-        pair_acc[pi] = acc;
-        counters.conversions += convs;
-      }
-      return;
-    }
-    case ExecPath::kVector: {
-      // Ideal multi-bit-DAC fallback: gather one cycle's chunks per
-      // segment, then a contiguous multiply-accumulate per slice over the
-      // rectangular level stream (zeros contribute nothing, so the
-      // rectangle is exact).
-      std::int32_t* g = scratch.ops.data();
-      const bool narrow = worst_plane_sum_ <= INT32_MAX;
-      for (std::int64_t pi = p0; pi < p1; ++pi) {
-        std::int64_t acc = 0;
-        for (int pol = 0; pol < 2; ++pol) {
-          const std::size_t k =
-              2 * static_cast<std::size_t>(pi) + static_cast<std::size_t>(pol);
-          const std::size_t i0 = soa_seg_[k], len = soa_seg_[k + 1] - i0;
-          const std::size_t lbase = i0 * static_cast<std::size_t>(slices);
-          for (int t = 0; t < cycles; ++t) {
-            const std::int32_t* ch = chunks + static_cast<std::size_t>(t) * n;
-            for (std::size_t i = 0; i < len; ++i) g[i] = ch[soa_row_[i0 + i]];
-            for (int s = 0; s < slices; ++s) {
-              const std::int32_t* lv =
-                  soa_level_.data() + lbase +
-                  static_cast<std::size_t>(s) * len;
-              std::int64_t isum;
-              if (narrow) {
-                std::int32_t s32 = 0;
-                for (std::size_t i = 0; i < len; ++i) s32 += lv[i] * g[i];
-                isum = s32;
-              } else {
-                std::int64_t s64 = 0;
-                for (std::size_t i = 0; i < len; ++i)
-                  s64 += static_cast<std::int64_t>(lv[i]) * g[i];
-                isum = s64;
-              }
-              const std::int64_t code =
-                  adc_code_int(isum, bits, full_scale, counters.clip_events);
-              acc += (pol == 0 ? 1 : -1) *
-                     (code << (s * cfg.cell_bits + t * cfg.dac_bits));
-            }
-          }
-        }
-        pair_acc[pi] = acc;
-        counters.conversions += conv_per_pair;
-      }
-      return;
-    }
-    case ExecPath::kGeneral:
-      exec_general(x, p0, p1, pair_acc, scratch, counters);
-      return;
+void AnalogLayerSim::exec_pairs(const std::int32_t* x, std::int64_t p0,
+                                std::int64_t p1, std::int64_t* pair_acc,
+                                KernelScratch& scratch,
+                                AdcCounters& counters) const {
+  if (exec_path_ == ExecPath::kGeneral) {
+    exec_general(x, p0, p1, pair_acc, scratch, counters);
+    return;
   }
-}
-
-void AnalogLayerSim::exec_pairs_aos(const std::int32_t* chunks,
-                                    std::int64_t p0, std::int64_t p1,
-                                    std::int64_t* pair_acc,
-                                    AdcCounters& counters) const {
+  // Clip-free ideal datapath: every conversion returns its plane sum
+  // exactly, so the shift-and-add telescopes into Σ ± |q_i|·x_i per
+  // polarity (DESIGN.md §12). No DAC chunks, no per-plane loop.
   const auto& cfg = layer_.config;
-  const int slices = cfg.slices();
-  const int cycles = dac_cycles(cfg.input_bits, cfg.dac_bits);
-  const auto n = static_cast<std::size_t>(layer_.rows);
+  const std::int64_t conv_per_pair = std::int64_t{2} * cfg.slices() *
+                                     dac_cycles(cfg.input_bits, cfg.dac_bits);
+  const bool narrow = worst_fused_sum_ <= INT32_MAX;
   for (std::int64_t pi = p0; pi < p1; ++pi) {
-    const PairRef& pair = plan_pairs_[static_cast<std::size_t>(pi)];
-    const std::size_t* off = plan_offsets_.data() + pair.plane0;
+    const std::size_t k0 = 2 * static_cast<std::size_t>(pi);
+    if (pi + 1 < p1) {
+      // One pair ahead (~2–4 cache lines of stream data) hides the
+      // stream-load latency behind the current pair's arithmetic.
+      const std::size_t nx = soa_seg_[k0 + 2];
+      TINYADC_PREFETCH(soa_mag_.data() + nx);
+      TINYADC_PREFETCH(soa_row_.data() + nx);
+    }
     std::int64_t acc = 0;
-    for (int polarity : {+1, -1}) {
-      for (int s = 0; s < slices; ++s, ++off) {
-        const std::size_t e0 = off[0], e1 = off[1];
-        for (int t = 0; t < cycles; ++t) {
-          const std::int32_t* ch = chunks + static_cast<std::size_t>(t) * n;
-          double analog;
-          if (plan_ideal_) {
-            // Ideal wires and cells: every operand is a small integer, so
-            // the sum is computed in int64 and is exactly the double the
-            // dense path accumulates (each partial fits a double).
-            std::int64_t isum = 0;
-            for (std::size_t e = e0; e < e1; ++e)
-              isum += static_cast<std::int64_t>(plan_level_[e]) *
-                      ch[plan_x_[e]];
-            analog = static_cast<double>(isum);
-          } else {
-            analog = 0.0;
-            for (std::size_t e = e0; e < e1; ++e) {
-              double contrib = static_cast<double>(plan_level_[e]) *
-                               ch[plan_x_[e]];
-              contrib *= plan_var_[e];
-              contrib /= plan_denom_[e];
-              analog += contrib;
-            }
-          }
-          const std::int64_t code = adc_.convert(analog, counters);
-          acc += polarity *
-                 (code << (s * cfg.cell_bits + t * cfg.dac_bits));
-        }
+    for (int pol = 0; pol < 2; ++pol) {
+      const std::size_t i0 = soa_seg_[k0 + static_cast<std::size_t>(pol)];
+      const std::size_t i1 = soa_seg_[k0 + static_cast<std::size_t>(pol) + 1];
+      std::int64_t part;
+      if (narrow) {
+        std::int32_t p32 = 0;
+        for (std::size_t i = i0; i < i1; ++i)
+          p32 += soa_mag_[i] * x[soa_row_[i]];
+        part = p32;
+      } else {
+        std::int64_t p64 = 0;
+        for (std::size_t i = i0; i < i1; ++i)
+          p64 += static_cast<std::int64_t>(soa_mag_[i]) * x[soa_row_[i]];
+        part = p64;
       }
+      acc += pol == 0 ? part : -part;
     }
     pair_acc[pi] = acc;
+    counters.conversions += conv_per_pair;
   }
 }
 
 void AnalogLayerSim::packed_sample(const std::int32_t* x,
                                    SampleScratch& scratch, std::int64_t* y,
                                    AdcCounters& counters) const {
-  std::int32_t* chunks =
-      scratch.chunks.empty() ? nullptr : scratch.chunks.data();
-  dac_split(x, chunks);
-  const bool aos = config_.plan_kernel == PlanKernel::kAos;
+  check_codes(x);
   std::int64_t* pair_acc = scratch.pair_acc.data();
   const auto npairs = static_cast<std::int64_t>(soa_out_.size());
-  const auto run = [&](std::int64_t p0, std::int64_t p1, KernelScratch& k,
-                       AdcCounters& c) {
-    if (aos)
-      exec_pairs_aos(chunks, p0, p1, pair_acc, c);
-    else
-      exec_pairs_soa(x, chunks, p0, p1, pair_acc, k, c);
-  };
 
   // Each (block, logical column) pair converts independently — in hardware
   // all crossbar arrays fire in parallel. Per-pair sums land in fixed
@@ -1027,14 +686,14 @@ void AnalogLayerSim::packed_sample(const std::int32_t* x,
   // does a sample inside a parallel region (a batch-loop lane).
   if (plan_work_ < kMinParallelPlanWork || runtime::in_parallel_region() ||
       runtime::thread_count() <= 1) {
-    run(0, npairs, scratch.kernel, counters);
+    exec_pairs(x, 0, npairs, pair_acc, scratch.kernel, counters);
   } else {
     std::mutex counters_mu;
     runtime::parallel_for(0, npairs, lane_grain(npairs),
                           [&](std::int64_t p0, std::int64_t p1) {
                             KernelScratch k = make_kernel_scratch();
                             AdcCounters local;
-                            run(p0, p1, k, local);
+                            exec_pairs(x, p0, p1, pair_acc, k, local);
                             std::lock_guard<std::mutex> lk(counters_mu);
                             counters.conversions += local.conversions;
                             counters.clip_events += local.clip_events;
@@ -1175,8 +834,7 @@ bool AnalogLayerSim::batch_serial(std::int64_t batch) const {
 }
 
 bool AnalogLayerSim::fused_batch_path() const {
-  return config_.use_plan && config_.plan_kernel != PlanKernel::kAos &&
-         exec_path_ == ExecPath::kFused;
+  return config_.use_plan && exec_path_ == ExecPath::kFused;
 }
 
 template <typename Fill, typename Emit>
@@ -1291,9 +949,9 @@ std::vector<std::int64_t> AnalogLayerSim::mvm_batch(
         xt[r * nl + s] = x[s * n + r];
         high |= static_cast<std::uint32_t>(x[s * n + r]) >> code_bits;
       }
-    // Out-of-range codes: dac_split's range check reports the first one.
+    // Out-of-range codes: check_codes reports the first one.
     if (high != 0)
-      for (std::size_t s = 0; s < nl; ++s) dac_split(x + s * n, nullptr);
+      for (std::size_t s = 0; s < nl; ++s) check_codes(x + s * n);
   };
   const auto emit = [&](std::int64_t b0, int lanes, const std::int64_t* acc,
                         const std::int64_t*) {
@@ -1408,11 +1066,12 @@ Tensor AnalogLayerSim::mvm_real_columns(const Tensor& x_cols,
       for (std::size_t s = 0; s < nl; ++s)
         ro[s] = static_cast<float>(accp[o * nl + s]) * scale;
       if (!signed_input) continue;
-      // Round each product through a store before subtracting — the
-      // per-sample path scales inside mvm_real and subtracts afterwards, so
-      // `p*scale - n*scale` as one expression would let -ffp-contract=fast
-      // fuse the first product into the subtract on FMA targets and skip a
-      // rounding, breaking batched-vs-per-sample identity.
+      // The per-sample path scales inside mvm_real and subtracts
+      // afterwards, so each product must round before the subtract. A
+      // store does not force that: on FMA targets GCC fused `p*scale` into
+      // the subtract even through this staging, breaking batched-vs-
+      // per-sample identity. The library builds with -ffp-contract=off
+      // (src/msim/CMakeLists.txt), which keeps every product rounded.
       float yn[8];
       for (std::size_t s = 0; s < nl; ++s)
         yn[s] = static_cast<float>(accn[o * nl + s]) * scale;
@@ -1448,12 +1107,7 @@ void AnalogLayerSim::prefetch_plan() const {
     TINYADC_PREFETCH(soa_row_.data() + i);
     TINYADC_PREFETCH(soa_mag_.data() + i);
   }
-  if (exec_path_ == ExecPath::kBitslice) {
-    const std::size_t words = std::min(kHeadSlots, bs_words_.size());
-    for (std::size_t w = 0; w < words; w += 8)
-      TINYADC_PREFETCH(bs_words_.data() + w);
-  } else if (exec_path_ == ExecPath::kVector ||
-             exec_path_ == ExecPath::kGeneral) {
+  if (exec_path_ == ExecPath::kGeneral) {
     const std::size_t lv = std::min(kHeadSlots, soa_level_.size());
     for (std::size_t i = 0; i < lv; i += 16)
       TINYADC_PREFETCH(soa_level_.data() + i);
@@ -1477,8 +1131,8 @@ AnalogLayerSim::AnalogLayerSim(const xbar::MappedLayer& layer,
       plan_ideal_(restored.plan_ideal),
       stats_mu_(std::make_unique<std::mutex>()) {
   check_accumulator_headroom();
-  // Path resolution and the derived views (AoS arrays, bit planes) are
-  // recomputed from the loaded streams — never a plan compilation.
+  // Path resolution is recomputed from the loaded streams — never a plan
+  // compilation.
   if (config_.use_plan) finalize_plan();
 }
 
@@ -1491,8 +1145,7 @@ void AnalogLayerSim::serialize(artifact::SectionWriter& w) const {
   if (!config_.use_plan) return;
   // v3 payload: the canonical SoA streams as 64-byte-aligned arrays
   // (vec_aligned), so a mapped load can hand the executors read-only spans
-  // over the file instead of copies. The AoS arrays and bit planes are
-  // derived views and are rebuilt (cheap, deterministic) at load.
+  // over the file instead of copies.
   w.pod(static_cast<std::uint64_t>(soa_out_.size()));
   w.vec_aligned(soa_out_);
   w.vec_aligned(soa_seg_);
@@ -1606,20 +1259,20 @@ std::unique_ptr<AnalogLayerSim> AnalogLayerSim::deserialize(
       // sorts back into the dense scan order. -----------------------------
       const std::size_t planes_per_pair =
           2 * static_cast<std::size_t>(slices);
-      std::vector<PairRef> pairs;
-      pairs.reserve(static_cast<std::size_t>(npairs));
+      // Each pair stores its output column and its first plane slot,
+      // which must be pi·planes_per_pair (planes are contiguous).
+      std::vector<std::int64_t> pair_out;
+      pair_out.reserve(static_cast<std::size_t>(npairs));
       for (std::uint64_t pi = 0; pi < npairs; ++pi) {
-        PairRef pair;
-        pair.out = r.pod<std::int64_t>();
-        pair.plane0 = static_cast<std::size_t>(r.pod<std::uint64_t>());
-        TINYADC_CHECK(pair.out >= 0 && pair.out < layer.cols,
+        const auto out = r.pod<std::int64_t>();
+        const auto plane0 = r.pod<std::uint64_t>();
+        TINYADC_CHECK(out >= 0 && out < layer.cols,
                       "layer " << layer.name << ": plan pair " << pi
-                               << " targets output column " << pair.out);
-        TINYADC_CHECK(pair.plane0 == static_cast<std::size_t>(pi) *
-                                         planes_per_pair,
+                               << " targets output column " << out);
+        TINYADC_CHECK(plane0 == pi * planes_per_pair,
                       "layer " << layer.name << ": plan pair " << pi
                                << " has corrupt plane offset");
-        pairs.push_back(pair);
+        pair_out.push_back(out);
       }
       const auto noffsets = r.pod<std::uint64_t>();
       TINYADC_CHECK(noffsets == npairs * planes_per_pair + 1,
@@ -1671,9 +1324,9 @@ std::unique_ptr<AnalogLayerSim> AnalogLayerSim::deserialize(
       c_seg.push_back(0);
       std::vector<std::int32_t> seg_rows;
       for (std::uint64_t pi = 0; pi < npairs; ++pi) {
-        c_out.push_back(pairs[static_cast<std::size_t>(pi)].out);
+        c_out.push_back(pair_out[static_cast<std::size_t>(pi)]);
         const std::size_t plane0 =
-            pairs[static_cast<std::size_t>(pi)].plane0;
+            static_cast<std::size_t>(pi) * planes_per_pair;
         for (int pol = 0; pol < 2; ++pol) {
           const std::size_t sp0 =
               plane0 + static_cast<std::size_t>(pol) *
@@ -1790,6 +1443,11 @@ std::unique_ptr<AnalogLayerSim> AnalogLayerSim::deserialize(
           TINYADC_CHECK(std::isfinite(vf) && vf > 0.0F,
                         "layer " << layer.name
                                  << ": non-finite plan variation factor");
+          // build_plan stores exactly 1.0 without variation. An ideal plan
+          // that may clip runs the general lanes, which multiply by it.
+          TINYADC_CHECK(nvar > 0 || vf == 1.0F,
+                        "layer " << layer.name << ": plan variation factor "
+                                 << vf << " on a layer without variation");
           recomposed += level << (sl * cfg.cell_bits);
         }
         TINYADC_CHECK(recomposed == mag,
@@ -1805,6 +1463,10 @@ std::unique_ptr<AnalogLayerSim> AnalogLayerSim::deserialize(
                                << ": plan IR divisor "
                                << s.denom[i0 + i] << " is not a finite "
                                   "value >= 1");
+        TINYADC_CHECK(config.ir_drop_alpha > 0.0 || s.denom[i0 + i] == 1.0,
+                      "layer " << layer.name << ": plan IR divisor "
+                               << s.denom[i0 + i]
+                               << " on a layer without IR drop");
       }
     }
   }

@@ -24,25 +24,18 @@
 // as column-blocked SoA streams — one contiguous segment of active rows per
 // (block, column, polarity), with separate row-index / magnitude /
 // per-slice level / variation / IR-divisor arrays — so the inner loops are
-// flat array sweeps the compiler can vectorize, instead of the PR-3
-// pointer-chasing array-of-structs gather. Four execution paths share the
-// streams (see DESIGN.md §12):
+// flat array sweeps the compiler can vectorize. Two execution paths share
+// the streams (see DESIGN.md §12):
 //
 //   fused     ideal datapath whose ADC provably never clips: the
 //             shift-and-add over (slice, cycle) telescopes exactly into
 //             one sparse integer dot product Σ |q_i|·x_i per polarity.
-//   bitslice  ideal 1-bit-DAC datapath that may clip: cell levels are
-//             decomposed into bit planes packed 64 cells/word, a cycle's
-//             chunk bits pack the same way, and each plane sum becomes
-//             popcount(level_plane & chunk_word) · 2^bit.
-//   vector    ideal fallback (multi-bit DAC that may clip): per-cycle
-//             chunk gather + per-slice int64 multiply-accumulate over the
-//             rectangular level stream.
-//   general   non-ideal (variation / IR drop): per segment, only the
-//             operands with a nonzero activation code are gathered, and
-//             only the DAC cycles their OR-ed codes reach and the slices
-//             their OR-ed weight magnitudes reach (the live cycles and
-//             slices) are summed and converted. Each gathered operand's
+//   general   every other plan (variation, IR drop, or an ADC that may
+//             clip): per segment, only the operands with a nonzero
+//             activation code are gathered, and only the DAC cycles their
+//             OR-ed codes reach and the slices their OR-ed weight
+//             magnitudes reach (the live cycles and slices) are summed and
+//             converted. Each gathered operand's
 //             level·variation (and, on a 1-bit DAC, its IR-drop divide)
 //             is formed once per (segment, slice), feeding one
 //             branch-free lane per live cycle that sums in the dense
@@ -64,9 +57,14 @@
 //               its conversions are credited in bulk;
 //             - inline rounding: Adc::convert, the single rounding rule of
 //               every path, equals llround then the full-scale clamp.
+//             An ideal plan that may clip runs here too: its variation
+//             factors and divisors are exactly 1.0 (the loader enforces
+//             it), and plan_ideal_for bounds its sums below 2^53, so every
+//             product and sum is an exact integer-valued double and
+//             Adc::convert reduces to the integer saturation.
 //
-// All paths are bit-identical — outputs AND ADC counters — to the dense
-// reference and to the retained AoS executor, at every thread count.
+// Both paths are bit-identical — outputs AND ADC counters — to the dense
+// reference, at every thread count.
 #pragma once
 
 #include <cstdint>
@@ -85,14 +83,6 @@ class SectionReader;
 }  // namespace tinyadc::artifact
 
 namespace tinyadc::msim {
-
-/// Which executor walks the packed plan (MsimConfig::plan_kernel).
-enum class PlanKernel : std::uint8_t {
-  kAuto = 0,      ///< best eligible path: fused > bitslice > vector/general
-  kAos = 1,       ///< retained PR-3 array-of-structs entry walk
-  kSoa = 2,       ///< SoA streams without fusing (vector/general paths)
-  kBitslice = 3,  ///< packed bit-plane popcount path when eligible
-};
 
 /// Simulation knobs.
 struct MsimConfig {
@@ -113,16 +103,12 @@ struct MsimConfig {
   /// packed plan is verified against bit-for-bit (outputs *and* ADC
   /// counters) by tests/msim_plan_test.cpp.
   bool use_plan = true;
-  /// Plan executor selection. Every kernel produces bit-identical outputs
-  /// and counters; non-default values exist for benchmarking and for the
-  /// equivalence tests. Kernels degrade gracefully: kBitslice falls back to
-  /// the vector/general paths when the datapath is non-ideal or the DAC is
-  /// multi-bit.
-  PlanKernel plan_kernel = PlanKernel::kAuto;
 };
 
 /// Artifact (de)serialization of the simulation knobs. `version` is the
-/// PLANS-section payload version: v1 predates plan_kernel (defaults kAuto).
+/// PLANS-section payload version: v2 and later carry a kernel byte that
+/// once selected a plan executor; the writer stores 0, and the reader
+/// range-checks the byte and otherwise ignores it.
 void serialize(const MsimConfig& config, artifact::SectionWriter& w);
 MsimConfig deserialize_msim_config(artifact::SectionReader& r,
                                    std::uint32_t version);
@@ -181,7 +167,7 @@ class AnalogLayerSim {
   /// bit-identical, dac_cycles advances once per sample). On the fused
   /// path it walks the plan streams once per block of up to 8 samples,
   /// one integer lane per sample — the serve path's multi-column fast
-  /// lane; every other path runs the sample loop (see sample_batch).
+  /// lane; the general path runs the sample loop (see sample_batch).
   std::vector<std::int64_t> mvm_batch(const std::vector<std::int32_t>& xs,
                                       std::int64_t batch);
 
@@ -232,16 +218,9 @@ class AnalogLayerSim {
   void reset_stats();
 
  private:
-  // One (block, logical column) conversion unit of the retained AoS plan.
-  struct PairRef {
-    std::int64_t out = 0;   ///< original output column index (y slot)
-    std::size_t plane0 = 0; ///< first plane slot: planes are
-                            ///< [pair][polarity][slice], contiguous
-  };
-
   // Which inner loop executes the plan (resolved once per layer from the
-  // configured kernel and the datapath's properties).
-  enum class ExecPath : std::uint8_t { kFused, kBitslice, kVector, kGeneral };
+  // datapath's properties).
+  enum class ExecPath : std::uint8_t { kFused, kGeneral };
 
   // Execution state restored from an artifact (see deserialize()): the
   // canonical SoA streams, exactly as finalize_plan() documents them. The
@@ -268,45 +247,34 @@ class AnalogLayerSim {
   void check_accumulator_headroom() const;
 
   void build_plan();
-  // Resolves the execution path, derives the retained AoS arrays (kAos) and
-  // the packed bit planes (bitslice) from the SoA streams, and computes the
-  // fused-path clipping predicate. Shared by build_plan and deserialize so
-  // a loaded plan provably dispatches through the same inner loops.
+  // Computes the fused-path clipping predicate from the SoA streams and
+  // resolves the execution path. Shared by build_plan and deserialize so a
+  // loaded plan provably dispatches through the same inner loops.
   void finalize_plan();
-  void derive_aos_from_soa();
-  void build_bit_planes();
 
-  // Caller-owned working memory of the plan executors, sized once per
-  // layer by make_kernel_scratch(), so no kernel allocates.
+  // Caller-owned working memory of the general path, sized once per layer
+  // by make_kernel_scratch(), so no kernel allocates.
   struct KernelScratch {
-    // general: nonzero operands' local slots, then their codes; vector:
-    // one cycle's gathered chunks.
+    // Nonzero operands' local slots, then their codes.
     std::vector<std::int32_t> ops;
-    std::vector<double> live_chunks;   // general: live chunks per operand
-    std::vector<std::uint64_t> words;  // bitslice: packed chunk words
+    std::vector<double> live_chunks;  // live chunks per operand
   };
-  // One sample's packed-MVM buffers: the flat DAC chunks (AoS and vector
-  // paths read them), the per-pair sums and the kernel scratch. One set
-  // serves every sample of a batch-loop range.
+  // One sample's packed-MVM buffers: the per-pair sums and the kernel
+  // scratch. One set serves every sample of a batch-loop range.
   struct SampleScratch {
-    std::vector<std::int32_t> chunks;
     std::vector<std::int64_t> pair_acc;
     KernelScratch kernel;
   };
   KernelScratch make_kernel_scratch() const;
   SampleScratch make_sample_scratch() const;
 
-  // Per-sample executors: read layer_rows codes at `x`, add column sums
-  // into the caller's per-pair slots. All executors convert pairs
-  // [p0, p1) and accumulate that range's ADC counters.
-  void exec_pairs_soa(const std::int32_t* x, const std::int32_t* chunks,
-                      std::int64_t p0, std::int64_t p1,
-                      std::int64_t* pair_acc, KernelScratch& scratch,
-                      AdcCounters& counters) const;
-  void exec_pairs_aos(const std::int32_t* chunks, std::int64_t p0,
-                      std::int64_t p1, std::int64_t* pair_acc,
-                      AdcCounters& counters) const;
-  // The non-ideal general path (defined in analog_mvm.cpp).
+  // Per-sample executor: reads layer_rows codes at `x`, converts pairs
+  // [p0, p1) on the layer's path into the caller's per-pair slots, and
+  // accumulates that range's ADC counters.
+  void exec_pairs(const std::int32_t* x, std::int64_t p0, std::int64_t p1,
+                  std::int64_t* pair_acc, KernelScratch& scratch,
+                  AdcCounters& counters) const;
+  // The general path (defined in analog_mvm.cpp).
   void exec_general(const std::int32_t* x, std::int64_t p0, std::int64_t p1,
                     std::int64_t* pair_acc, KernelScratch& scratch,
                     AdcCounters& counters) const;
@@ -327,7 +295,7 @@ class AnalogLayerSim {
                    const Emit& emit);
   // The non-fused batch: each worker range owns one code buffer, one
   // column-sum buffer and one SampleScratch, and runs its samples one at
-  // a time through the layer's executor (or the dense scan). Each sample
+  // a time through the general path (or the dense scan). Each sample
   // is a one-lane block of the fused_batch contract: fill(s, 1, pos, neg)
   // writes its codes, emit(s, 1, y_pos, y_neg) takes its column sums.
   // Counters merge once per call. Defined in analog_mvm.cpp.
@@ -343,9 +311,8 @@ class AnalogLayerSim {
                      std::int64_t* y, AdcCounters& counters) const;
   void dense_sample(const std::int32_t* x, std::int64_t* y,
                     AdcCounters& counters) const;
-  // Validates one sample's codes and splits them into the flat per-cycle
-  // chunk buffer ([t*n + r] layout) when `chunks` is non-null.
-  void dac_split(const std::int32_t* x, std::int32_t* chunks) const;
+  // Validates that one sample's codes fit the layer's input_bits.
+  void check_codes(const std::int32_t* x) const;
   void merge_stats(const AdcCounters& counters, std::int64_t dac_cycles);
 
   const xbar::MappedLayer& layer_;
@@ -359,13 +326,13 @@ class AnalogLayerSim {
   // For every (block, logical column) conversion pair pi and polarity pol,
   // segment k = 2·pi + pol holds that plane-group's active rows in
   // ascending order: soa_seg_ is the CSR offset table over the row slots,
-  // soa_row_[i] the flat DAC-chunk (activation) index, soa_mag_[i] the
+  // soa_row_[i] the activation row index, soa_mag_[i] the
   // whole weight magnitude |q| (= Σ_s level·2^{s·cell_bits}), and
   // soa_denom_[i] the per-row IR-drop divisor. Slice-resolved streams are
   // rectangular (zeros included) and slice-major per segment:
   // soa_level_/soa_var_ at [soa_seg_[k]·slices + s·len_k + local_i]. The
-  // rectangle is bit-safe for the integer paths (zero levels add nothing)
-  // and lets every slice of a segment stream contiguously.
+  // rectangle is bit-safe (a zero level's term is +0.0, see the file
+  // header) and lets every slice of a segment stream contiguously.
   // The streams are ArrayRefs (artifact/array_ref.hpp): plan compilation
   // produces owned vectors, while a mapped v3 artifact load restores them
   // as read-only spans over the file mapping (zero-copy; the ArrayRef's
@@ -373,26 +340,11 @@ class AnalogLayerSim {
   // modes run the same inner loops on the same bytes.
   artifact::ArrayRef<std::int64_t> soa_out_;   // pair → original output col
   artifact::ArrayRef<std::uint64_t> soa_seg_;  // 2·pairs + 1 slot offsets
-  artifact::ArrayRef<std::int32_t> soa_row_;   // slot → flat DAC-chunk index
+  artifact::ArrayRef<std::int32_t> soa_row_;   // slot → activation row
   artifact::ArrayRef<std::int32_t> soa_mag_;   // slot → weight magnitude |q|
   artifact::ArrayRef<std::int32_t> soa_level_; // slot×slice → level (rect.)
   artifact::ArrayRef<float> soa_var_;          // slot×slice → variation
   artifact::ArrayRef<double> soa_denom_;       // slot → IR-drop divisor
-
-  // --- Bit-sliced levels (built for the bitslice path) --------------------
-  // Each segment's levels decompose into slices·cell_bits bit planes packed
-  // 64 cells per word: word (plane p, word w) of segment k sits at
-  // bs_words_[bs_base_[k] + p·W_k + w], W_k = ⌈len_k / 64⌉ words.
-  std::vector<std::uint64_t> bs_words_;
-  std::vector<std::size_t> bs_base_;    // 2·pairs + 1 word-range offsets
-
-  // --- Retained AoS plan (PR-3 layout; derived when plan_kernel == kAos) --
-  std::vector<PairRef> plan_pairs_;
-  std::vector<std::size_t> plan_offsets_;  // planes*pairs + 1 offsets
-  std::vector<std::int32_t> plan_x_;       // entry → flat DAC-chunk index
-  std::vector<std::int32_t> plan_level_;   // entry → cell level (this slice)
-  std::vector<float> plan_var_;            // entry → variation factor
-  std::vector<double> plan_denom_;         // entry → IR-drop divisor
 
   bool plan_ideal_ = false;  // no variation and no IR drop: integer datapath
   // Every IR divisor is exactly 1.0, so the general path skips the divide
@@ -408,7 +360,7 @@ class AnalogLayerSim {
   // int32 the fused dot accumulates in 32-bit lanes (twice the SIMD width).
   std::int64_t worst_fused_sum_ = 0;
   std::size_t max_seg_len_ = 0;  // longest segment: executor scratch size
-  ExecPath exec_path_ = ExecPath::kVector;
+  ExecPath exec_path_ = ExecPath::kGeneral;
   // Approximate per-MVM inner-loop work (weighted row slots; see
   // finalize_plan). Plans below the parallel threshold execute their pair
   // sweep inline — the pool's dispatch overhead dominates tiny plans, and

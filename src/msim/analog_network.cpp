@@ -14,11 +14,11 @@ namespace tinyadc::msim {
 
 namespace {
 
-// v1 plan payloads carry the PR-3 AoS entry arrays; v2 carries the SoA
-// streams (plus MsimConfig::plan_kernel); v3 carries the same streams as
-// 64-byte-aligned arrays so a mapped load can execute them in place
-// (zero-copy). Readers accept all three — v1 converts, v2 copies — and
-// writers always emit v3.
+// v1 plan payloads carry the original AoS entry arrays; v2 carries the SoA
+// streams plus a kernel byte in the config header (written as 0, ignored on
+// load); v3 carries the same streams as 64-byte-aligned arrays so a mapped
+// load can execute them in place (zero-copy). Readers accept all three —
+// v1 converts, v2 copies — and writers always emit v3.
 constexpr std::uint32_t kPlansSectionVersion = 3;
 constexpr std::uint32_t kMinPlansSectionVersion = 1;
 constexpr std::uint32_t kCalibSectionVersion = 1;

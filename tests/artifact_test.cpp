@@ -557,6 +557,10 @@ TEST(ArtifactVersioning, CorruptV3PlanStreamsRaiseCheckError) {
   // could make a hoisted level·var/denom infinite.
   expect_throws(tampered(off_denom, 1e-300), "IR divisor below 1");
   expect_throws(tampered(off_denom, 0.999), "IR divisor below 1");
+  // An ideal plan stores exactly 1.0 in both streams; a clipping ideal plan
+  // runs the general lanes, which would multiply and divide by them.
+  expect_throws(tampered(off_var, 1.5F), "variation without variation_sigma");
+  expect_throws(tampered(off_denom, 2.0), "IR divisor without ir_drop_alpha");
   // Truncation inside each stream: the element-budget guard must fire.
   for (const std::size_t cut : {off_row + 3, off_level + 5, off_denom + 1})
     expect_throws(std::vector<char>(base.begin(),
@@ -588,6 +592,76 @@ TEST(ArtifactVersioning, CorruptV3PlanStreamsRaiseCheckError) {
         (void)msim::AnalogLayerSim::deserialize(layer, mcfg, r, 3),
         CheckError)
         << "misaligned mapped payload must be rejected";
+  }
+}
+
+// The PLANS config header keeps the kernel byte that once chose among four
+// plan executors (0..3). The writer stores 0; a stored 1, 2 or 3 loads and
+// runs bit-identically to 0 — outputs and per-layer counters — on the
+// fused (Eq. 1 ADC) and the general (ADC under Eq. 1) datapath, and 4 is
+// still refused.
+TEST(ArtifactVersioning, StoredKernelByteLoadsAsTheOnePath) {
+  for (const int adc_bits : {-1, 2}) {
+    msim::MsimConfig mcfg;
+    mcfg.adc_bits_override = adc_bits;
+    Fixture f(mcfg);
+    const std::string path = "artifact_kernel_byte_src_tmp.tadc";
+    const std::string bad = "artifact_kernel_byte_tmp.tadc";
+    save_artifact(path, f.inputs());
+    const auto bytes = slurp(path);
+
+    // Section table entries: char tag[8], u64 offset, u64 length.
+    std::uint32_t nsections = 0;
+    std::memcpy(&nsections, bytes.data() + 12, sizeof(nsections));
+    std::uint64_t plans = 0;
+    for (std::uint32_t i = 0; i < nsections; ++i) {
+      const std::size_t entry = 16 + static_cast<std::size_t>(i) * 24;
+      const std::string tag(bytes.data() + entry, 8);
+      if (tag == std::string("PLANS\0\0\0", 8))
+        std::memcpy(&plans, bytes.data() + entry + 8, sizeof(plans));
+    }
+    ASSERT_GT(plans, 0U);
+    // PLANS payload: u32 version, then the config — i32 ADC override,
+    // f64 sigma, f64 alpha, u64 seed, u8 use_plan, u8 kernel.
+    const auto off_kernel = static_cast<std::size_t>(plans) + 4 + 4 + 8 + 8 +
+                            8 + 1;
+    ASSERT_EQ(bytes[off_kernel], 0) << "the writer stores kernel byte 0";
+
+    const Tensor batch = f.batch(6);
+    Deployment ref = load_artifact(path);
+    const Tensor y0 = ref.analog->forward(batch);
+    const msim::MsimStats s0 = total_stats(*ref.analog);
+    if (adc_bits >= 0) {
+      EXPECT_GT(s0.adc_clip_events, 0) << "must run the general lanes";
+    }
+    for (const char kernel : {1, 2, 3}) {
+      auto b = bytes;
+      b[off_kernel] = kernel;
+      spit(bad, b);
+      Deployment dep = load_artifact(bad);
+      const Tensor y = dep.analog->forward(batch);
+      ASSERT_EQ(y.numel(), y0.numel());
+      EXPECT_EQ(std::memcmp(y.data(), y0.data(),
+                            static_cast<std::size_t>(y0.numel()) *
+                                sizeof(float)),
+                0)
+          << "adc=" << adc_bits << " kernel byte " << int{kernel};
+      ASSERT_EQ(dep.analog->sims().size(), ref.analog->sims().size());
+      for (std::size_t i = 0; i < ref.analog->sims().size(); ++i) {
+        const auto a = ref.analog->sims()[i]->stats_snapshot();
+        const auto c = dep.analog->sims()[i]->stats_snapshot();
+        EXPECT_EQ(a.adc_conversions, c.adc_conversions) << "layer " << i;
+        EXPECT_EQ(a.adc_clip_events, c.adc_clip_events) << "layer " << i;
+        EXPECT_EQ(a.dac_cycles, c.dac_cycles) << "layer " << i;
+      }
+    }
+    auto b = bytes;
+    b[off_kernel] = 4;
+    spit(bad, b);
+    EXPECT_THROW((void)load_artifact(bad), CheckError)
+        << "kernel byte 4 must be refused";
+    std::remove(path.c_str());
+    std::remove(bad.c_str());
   }
 }
 

@@ -228,54 +228,52 @@ TEST(BatchInvariance, EvaluateIndependentOfBatchSize) {
   }
 }
 
-/// Every plan kernel — retained AoS walk, un-fused SoA streams, bit-sliced
-/// popcount path, and the kAuto dispatcher — must reproduce the dense
+/// Both execution paths — fused and general — must reproduce the dense
 /// reference bit for bit (outputs AND ADC counters) for every CP rate,
-/// thread count and non-ideality combination. Kernels that are ineligible
-/// for a configuration (bitslice under variation, fused under clipping)
-/// must degrade to an eligible path, not diverge.
+/// thread count and non-ideality combination. The path is a function of
+/// the plan: the ideal, Eq. 1-sized variant runs fused; the non-ideal
+/// variants and the ideal variant on a 3-bit ADC (which must clip) run the
+/// general lanes.
 class KernelEquivalence
     : public ::testing::TestWithParam<std::tuple<std::int64_t, int>> {
  protected:
   void TearDown() override { runtime::set_thread_count(0); }
 };
 
-TEST_P(KernelEquivalence, AllKernelsMatchDenseBitForBit) {
+TEST_P(KernelEquivalence, EveryPathMatchesDenseBitForBit) {
   const auto [keep, threads] = GetParam();
   runtime::set_thread_count(threads);
   const Tensor m = cp_matrix(keep, static_cast<std::uint64_t>(keep) + 1);
   xbar::MappingConfig map_cfg;
   const auto layer = xbar::map_matrix(m, "l", map_cfg);
 
-  MsimConfig variants[4];
+  MsimConfig variants[5];
   variants[1].variation_sigma = 0.1;
   variants[2].ir_drop_alpha = 0.3;
   variants[3].variation_sigma = 0.1;
   variants[3].ir_drop_alpha = 0.3;
-  for (const MsimConfig& base : variants) {
-    MsimConfig dense_cfg = base;
+  variants[4].adc_bits_override = 3;
+  for (const MsimConfig& cfg : variants) {
+    MsimConfig dense_cfg = cfg;
     dense_cfg.use_plan = false;
     AnalogLayerSim dense(layer, dense_cfg);
+    AnalogLayerSim sim(layer, cfg);
     const auto x = random_codes(layer.rows, map_cfg.input_bits, 21);
-    const auto y_ref = dense.mvm(x);
-    for (const PlanKernel kernel :
-         {PlanKernel::kAuto, PlanKernel::kAos, PlanKernel::kSoa,
-          PlanKernel::kBitslice}) {
-      MsimConfig cfg = base;
-      cfg.plan_kernel = kernel;
-      AnalogLayerSim sim(layer, cfg);
-      EXPECT_EQ(sim.mvm(x), y_ref)
-          << "kernel=" << static_cast<int>(kernel) << " keep=" << keep
-          << " threads=" << threads << " sigma=" << base.variation_sigma
-          << " alpha=" << base.ir_drop_alpha;
-      EXPECT_EQ(sim.stats().adc_conversions, dense.stats().adc_conversions)
-          << "kernel=" << static_cast<int>(kernel);
-      EXPECT_EQ(sim.stats().adc_clip_events, dense.stats().adc_clip_events)
-          << "kernel=" << static_cast<int>(kernel);
-      EXPECT_EQ(sim.stats().dac_cycles, dense.stats().dac_cycles)
-          << "kernel=" << static_cast<int>(kernel);
+    const auto xr = relu_codes(layer.rows, map_cfg.input_bits, 22);
+    for (const auto* in : {&x, &xr}) {
+      EXPECT_EQ(sim.mvm(*in), dense.mvm(*in))
+          << "keep=" << keep << " threads=" << threads
+          << " sigma=" << cfg.variation_sigma
+          << " alpha=" << cfg.ir_drop_alpha
+          << " adc=" << cfg.adc_bits_override
+          << (in == &xr ? " post-ReLU" : " uniform");
     }
-    dense.reset_stats();
+    EXPECT_EQ(sim.stats().adc_conversions, dense.stats().adc_conversions);
+    EXPECT_EQ(sim.stats().adc_clip_events, dense.stats().adc_clip_events);
+    EXPECT_EQ(sim.stats().dac_cycles, dense.stats().dac_cycles);
+    if (cfg.adc_bits_override >= 0) {
+      EXPECT_GT(sim.stats().adc_clip_events, 0) << "keep=" << keep;
+    }
   }
 }
 
@@ -284,73 +282,92 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::int64_t>(4, 16, 128),
                        ::testing::Values(1, 4)));
 
-TEST(KernelEquivalence, MultiBitDacFallsBackBitExactly) {
-  // dac_bits == 2 disqualifies the bitslice packing; every kernel must
-  // land on the vector path and still match dense.
+TEST(KernelEquivalence, MultiBitDacClippingMatchesDense) {
+  // An ideal 2-bit-DAC plan whose ADC may clip runs the general lanes;
+  // it must match dense at 1 and 4 threads.
   const Tensor m = cp_matrix(16, 99);
   xbar::MappingConfig map_cfg;
   map_cfg.dac_bits = 2;
   const auto layer = xbar::map_matrix(m, "l", map_cfg);
-  MsimConfig dense_cfg;
+  MsimConfig cfg;
+  cfg.adc_bits_override = layer.required_adc_bits() - 2;
+  MsimConfig dense_cfg = cfg;
   dense_cfg.use_plan = false;
-  AnalogLayerSim dense(layer, dense_cfg);
   const auto x = random_codes(layer.rows, map_cfg.input_bits, 31);
-  const auto y_ref = dense.mvm(x);
-  for (const PlanKernel kernel : {PlanKernel::kAos, PlanKernel::kSoa,
-                                  PlanKernel::kBitslice}) {
-    MsimConfig cfg;
-    cfg.plan_kernel = kernel;
+  for (const int threads : {1, 4}) {
+    runtime::set_thread_count(threads);
+    AnalogLayerSim dense(layer, dense_cfg);
     AnalogLayerSim sim(layer, cfg);
-    EXPECT_EQ(sim.mvm(x), y_ref) << "kernel=" << static_cast<int>(kernel);
+    EXPECT_EQ(sim.mvm(x), dense.mvm(x)) << "threads=" << threads;
     EXPECT_EQ(sim.stats().adc_conversions, dense.stats().adc_conversions);
     EXPECT_EQ(sim.stats().adc_clip_events, dense.stats().adc_clip_events);
+    EXPECT_EQ(sim.stats().dac_cycles, dense.stats().dac_cycles);
+    EXPECT_GT(sim.stats().adc_clip_events, 0) << "threads=" << threads;
   }
+  runtime::set_thread_count(0);
 }
 
-TEST(KernelEquivalence, UnderProvisionedAdcClipsIdenticallyAcrossKernels) {
+TEST(KernelEquivalence, UnderProvisionedAdcClipsIdentically) {
   // A 2-bit ADC saturates constantly: the fused path must disqualify
-  // itself (its predicate requires clip-free conversion) and every kernel
-  // must reproduce the dense clipping pattern exactly.
+  // itself (its predicate requires clip-free conversion) and the general
+  // lanes must reproduce the dense clipping pattern exactly.
   const Tensor m = cp_matrix(128, 42);
   const auto layer = xbar::map_matrix(m, "l", xbar::MappingConfig{});
-  MsimConfig base;
-  base.adc_bits_override = 2;
-  MsimConfig dense_cfg = base;
+  MsimConfig cfg;
+  cfg.adc_bits_override = 2;
+  MsimConfig dense_cfg = cfg;
   dense_cfg.use_plan = false;
-  AnalogLayerSim dense(layer, dense_cfg);
   std::vector<std::int32_t> x(static_cast<std::size_t>(layer.rows), 255);
-  const auto y_ref = dense.mvm(x);
-  EXPECT_GT(dense.stats().adc_clip_events, 0);
-  for (const PlanKernel kernel : {PlanKernel::kAuto, PlanKernel::kAos,
-                                  PlanKernel::kSoa, PlanKernel::kBitslice}) {
-    MsimConfig cfg = base;
-    cfg.plan_kernel = kernel;
+  for (const int threads : {1, 4}) {
+    runtime::set_thread_count(threads);
+    AnalogLayerSim dense(layer, dense_cfg);
+    const auto y_ref = dense.mvm(x);
+    EXPECT_GT(dense.stats().adc_clip_events, 0);
     AnalogLayerSim sim(layer, cfg);
-    EXPECT_EQ(sim.mvm(x), y_ref) << "kernel=" << static_cast<int>(kernel);
+    EXPECT_EQ(sim.mvm(x), y_ref) << "threads=" << threads;
     EXPECT_EQ(sim.stats().adc_clip_events, dense.stats().adc_clip_events)
-        << "kernel=" << static_cast<int>(kernel);
+        << "threads=" << threads;
+    EXPECT_EQ(sim.stats().adc_conversions, dense.stats().adc_conversions);
+    EXPECT_EQ(sim.stats().dac_cycles, dense.stats().dac_cycles);
   }
+  runtime::set_thread_count(0);
 }
 
-TEST(KernelEquivalence, FullyPrunedLayerDegeneratesToZero) {
-  // bits == 0 ADCs (a fully-pruned mapping) must output zeros on every
-  // kernel without tripping the fused predicate (full_scale == 0).
-  Tensor m({16, 4});
-  const auto layer = xbar::map_matrix(m, "l", xbar::MappingConfig{});
-  std::vector<std::int32_t> x(static_cast<std::size_t>(layer.rows), 200);
-  for (const PlanKernel kernel : {PlanKernel::kAuto, PlanKernel::kAos,
-                                  PlanKernel::kSoa, PlanKernel::kBitslice}) {
+TEST(KernelEquivalence, ZeroBitAdcsDegenerateToZero) {
+  // bits == 0 ADCs must output zeros without counting clips: a fully
+  // pruned mapping (full_scale == 0 passes the fused predicate) and a
+  // live layer forced to a 0-bit ADC (the general lanes), both against
+  // the dense scan.
+  const Tensor pruned({16, 4});
+  const Tensor live = cp_matrix(16, 43);
+  for (const Tensor* m : {&pruned, &live}) {
+    const auto layer = xbar::map_matrix(*m, "l", xbar::MappingConfig{});
     MsimConfig cfg;
-    cfg.plan_kernel = kernel;
-    AnalogLayerSim sim(layer, cfg);
-    const auto y = sim.mvm(x);
-    for (const auto v : y) EXPECT_EQ(v, 0);
+    if (m == &live) cfg.adc_bits_override = 0;
+    MsimConfig dense_cfg = cfg;
+    dense_cfg.use_plan = false;
+    std::vector<std::int32_t> x(static_cast<std::size_t>(layer.rows), 200);
+    for (const int threads : {1, 4}) {
+      runtime::set_thread_count(threads);
+      AnalogLayerSim sim(layer, cfg);
+      AnalogLayerSim dense(layer, dense_cfg);
+      const auto y = sim.mvm(x);
+      for (const auto v : y) EXPECT_EQ(v, 0);
+      EXPECT_EQ(y, dense.mvm(x));
+      EXPECT_EQ(sim.stats().adc_conversions, dense.stats().adc_conversions);
+      EXPECT_EQ(sim.stats().adc_clip_events, 0);
+      EXPECT_EQ(sim.stats().dac_cycles, dense.stats().dac_cycles);
+    }
   }
+  runtime::set_thread_count(0);
 }
 
 /// The batched entry points must be indistinguishable from per-sample
-/// calls: outputs, ADC counters and DAC cycle counts, on every kernel,
-/// for the integer API and both real-domain input modes.
+/// calls, and the per-sample calls from the dense reference: outputs, ADC
+/// counters and DAC cycle counts, on both paths (the ideal Eq. 1 plan runs
+/// the fused lanes; variation and an ideal plan whose ADC must clip run
+/// the general lanes), for the integer API and both real-domain input
+/// modes.
 class BatchApiEquivalence : public ::testing::TestWithParam<int> {
  protected:
   void TearDown() override { runtime::set_thread_count(0); }
@@ -363,68 +380,79 @@ TEST_P(BatchApiEquivalence, BatchedMatchesPerSample) {
   const auto layer = xbar::map_matrix(m, "l", map_cfg);
   constexpr std::int64_t kBatch = 5;
 
-  MsimConfig variants[2];
+  MsimConfig variants[3];
   variants[1].variation_sigma = 0.1;  // forces the non-fused batch fallback
-  for (const MsimConfig& base : variants) {
-    for (const PlanKernel kernel :
-         {PlanKernel::kAuto, PlanKernel::kAos, PlanKernel::kSoa,
-          PlanKernel::kBitslice}) {
-      MsimConfig cfg = base;
-      cfg.plan_kernel = kernel;
-      AnalogLayerSim batched(layer, cfg);
-      AnalogLayerSim serial(layer, cfg);
+  variants[2].adc_bits_override = 3;
+  for (const MsimConfig& cfg : variants) {
+    MsimConfig dense_cfg = cfg;
+    dense_cfg.use_plan = false;
+    AnalogLayerSim batched(layer, cfg);
+    AnalogLayerSim serial(layer, cfg);
+    AnalogLayerSim dense(layer, dense_cfg);
+    const std::string what = "sigma=" + std::to_string(cfg.variation_sigma) +
+                             " adc=" + std::to_string(cfg.adc_bits_override);
 
-      // Integer API.
-      std::vector<std::int32_t> xs;
-      for (std::int64_t s = 0; s < kBatch; ++s) {
-        const auto x = random_codes(layer.rows, map_cfg.input_bits,
-                                    100 + static_cast<std::uint64_t>(s));
-        xs.insert(xs.end(), x.begin(), x.end());
-      }
-      const auto yb = batched.mvm_batch(xs, kBatch);
-      ASSERT_EQ(yb.size(), static_cast<std::size_t>(kBatch * layer.cols));
-      for (std::int64_t s = 0; s < kBatch; ++s) {
-        const std::vector<std::int32_t> x(
-            xs.begin() + s * layer.rows, xs.begin() + (s + 1) * layer.rows);
-        const auto y = serial.mvm(x);
-        const std::vector<std::int64_t> row(yb.begin() + s * layer.cols,
-                                            yb.begin() + (s + 1) * layer.cols);
-        EXPECT_EQ(row, y) << "sample " << s << " kernel="
-                          << static_cast<int>(kernel);
-      }
-      EXPECT_EQ(batched.stats().adc_conversions,
-                serial.stats().adc_conversions);
-      EXPECT_EQ(batched.stats().adc_clip_events,
-                serial.stats().adc_clip_events);
-      EXPECT_EQ(batched.stats().dac_cycles, serial.stats().dac_cycles);
+    // Integer API.
+    std::vector<std::int32_t> xs;
+    for (std::int64_t s = 0; s < kBatch; ++s) {
+      const auto x = random_codes(layer.rows, map_cfg.input_bits,
+                                  100 + static_cast<std::uint64_t>(s));
+      xs.insert(xs.end(), x.begin(), x.end());
+    }
+    const auto yb = batched.mvm_batch(xs, kBatch);
+    ASSERT_EQ(yb.size(), static_cast<std::size_t>(kBatch * layer.cols));
+    for (std::int64_t s = 0; s < kBatch; ++s) {
+      const std::vector<std::int32_t> x(
+          xs.begin() + s * layer.rows, xs.begin() + (s + 1) * layer.rows);
+      const auto y = serial.mvm(x);
+      const std::vector<std::int64_t> row(yb.begin() + s * layer.cols,
+                                          yb.begin() + (s + 1) * layer.cols);
+      EXPECT_EQ(row, y) << "sample " << s << " " << what;
+      EXPECT_EQ(y, dense.mvm(x)) << "sample " << s << " " << what;
+    }
+    EXPECT_EQ(batched.stats().adc_conversions,
+              serial.stats().adc_conversions);
+    EXPECT_EQ(batched.stats().adc_clip_events,
+              serial.stats().adc_clip_events);
+    EXPECT_EQ(batched.stats().dac_cycles, serial.stats().dac_cycles);
 
-      // Real-domain API, unsigned and signed (two-phase split).
-      xbar::QuantParams q;
-      q.bits = map_cfg.input_bits;
-      q.scale = 0.043F;
-      tinyadc::Rng rng(7);
-      std::vector<float> xr(static_cast<std::size_t>(kBatch * layer.rows));
-      for (auto& v : xr) v = rng.normal(0.0F, 2.0F);
-      for (const bool signed_input : {false, true}) {
-        std::vector<float> xin = xr;
-        if (!signed_input)
-          for (auto& v : xin) v = v < 0.0F ? -v : v;  // post-ReLU domain
-        const auto yb_real =
-            batched.mvm_real_batch(xin, kBatch, q, signed_input);
-        for (std::int64_t s = 0; s < kBatch; ++s) {
-          const std::vector<float> x(xin.begin() + s * layer.rows,
-                                     xin.begin() + (s + 1) * layer.rows);
-          const auto y = signed_input ? serial.mvm_real_signed(x, q)
-                                      : serial.mvm_real(x, q);
-          const std::vector<float> row(
-              yb_real.begin() + s * layer.cols,
-              yb_real.begin() + (s + 1) * layer.cols);
-          EXPECT_EQ(row, y) << "signed=" << signed_input << " sample " << s;
-        }
+    // Real-domain API, unsigned and signed (two-phase split).
+    xbar::QuantParams q;
+    q.bits = map_cfg.input_bits;
+    q.scale = 0.043F;
+    tinyadc::Rng rng(7);
+    std::vector<float> xr(static_cast<std::size_t>(kBatch * layer.rows));
+    for (auto& v : xr) v = rng.normal(0.0F, 2.0F);
+    for (const bool signed_input : {false, true}) {
+      std::vector<float> xin = xr;
+      if (!signed_input)
+        for (auto& v : xin) v = v < 0.0F ? -v : v;  // post-ReLU domain
+      const auto yb_real =
+          batched.mvm_real_batch(xin, kBatch, q, signed_input);
+      for (std::int64_t s = 0; s < kBatch; ++s) {
+        const std::vector<float> x(xin.begin() + s * layer.rows,
+                                   xin.begin() + (s + 1) * layer.rows);
+        const auto y = signed_input ? serial.mvm_real_signed(x, q)
+                                    : serial.mvm_real(x, q);
+        const std::vector<float> row(
+            yb_real.begin() + s * layer.cols,
+            yb_real.begin() + (s + 1) * layer.cols);
+        EXPECT_EQ(row, y) << "signed=" << signed_input << " sample " << s;
+        EXPECT_EQ(y, signed_input ? dense.mvm_real_signed(x, q)
+                                  : dense.mvm_real(x, q))
+            << "signed=" << signed_input << " sample " << s << " " << what;
       }
-      EXPECT_EQ(batched.stats().adc_conversions,
-                serial.stats().adc_conversions);
-      EXPECT_EQ(batched.stats().dac_cycles, serial.stats().dac_cycles);
+    }
+    EXPECT_EQ(batched.stats().adc_conversions,
+              serial.stats().adc_conversions);
+    EXPECT_EQ(batched.stats().dac_cycles, serial.stats().dac_cycles);
+    EXPECT_EQ(batched.stats().adc_clip_events,
+              serial.stats().adc_clip_events);
+    EXPECT_EQ(serial.stats().adc_conversions, dense.stats().adc_conversions);
+    EXPECT_EQ(serial.stats().adc_clip_events, dense.stats().adc_clip_events);
+    EXPECT_EQ(serial.stats().dac_cycles, dense.stats().dac_cycles);
+    if (cfg.adc_bits_override >= 0) {
+      EXPECT_GT(batched.stats().adc_clip_events, 0) << what;
     }
   }
 }
@@ -835,6 +863,113 @@ TEST(GeneralPath, ColumnsMatchPerSampleOnPostReluInputs) {
         }
         if (c.under_bits > 0) {
           EXPECT_GT(batched.stats().adc_clip_events, 0) << what;
+        }
+      }
+    }
+  }
+  runtime::set_thread_count(0);
+}
+
+/// Ideal plans whose ADC may clip — the undersized-ADC studies — run the
+/// general lanes with unit variation factors and divisors. Over 1- and
+/// 2-bit DACs and 1-3-bit cells, on a 3-bit ADC, the per-sample,
+/// batched-integer and column entry points (unsigned and signed) match the
+/// dense reference on uniform, post-ReLU and saturating inputs: outputs
+/// and all three counters, at 1 and 4 threads. Every case must clip, which
+/// proves it left the fused path.
+TEST(GeneralPath, IdealClippingMatchesDense) {
+  constexpr std::int64_t kBatch = 9;
+  xbar::QuantParams q;
+  q.bits = 8;
+  q.scale = 0.043F;
+  for (const int dac_bits : {1, 2}) {
+    for (const int cell_bits : {1, 2, 3}) {
+      const Tensor m = cp_matrix(
+          16, 800 + static_cast<std::uint64_t>(10 * dac_bits + cell_bits));
+      xbar::MappingConfig map_cfg;
+      map_cfg.dac_bits = dac_bits;
+      map_cfg.cell_bits = cell_bits;
+      const auto layer = xbar::map_matrix(m, "l", map_cfg);
+      MsimConfig cfg;
+      cfg.adc_bits_override = 3;
+      MsimConfig dense_cfg = cfg;
+      dense_cfg.use_plan = false;
+
+      // Uniform, post-ReLU and all-full-scale samples.
+      std::vector<std::int32_t> xs;
+      for (std::int64_t s = 0; s < kBatch; ++s) {
+        const auto seed = 900 + static_cast<std::uint64_t>(s);
+        const auto x =
+            s == kBatch - 1
+                ? std::vector<std::int32_t>(
+                      static_cast<std::size_t>(layer.rows), 255)
+                : s % 2 == 0 ? random_codes(layer.rows, 8, seed)
+                             : relu_codes(layer.rows, 8, seed);
+        xs.insert(xs.end(), x.begin(), x.end());
+      }
+      tinyadc::Rng rng(901);
+      Tensor xcols({layer.rows, kBatch});
+      for (std::int64_t i = 0; i < xcols.numel(); ++i)
+        xcols.data()[i] = rng.normal(0.0F, 4.0F);
+
+      for (const int threads : {1, 4}) {
+        runtime::set_thread_count(threads);
+        const std::string what = "dac_bits=" + std::to_string(dac_bits) +
+                                 " cell_bits=" + std::to_string(cell_bits) +
+                                 " threads=" + std::to_string(threads);
+        const auto expect_counters = [&](const AnalogLayerSim& sim,
+                                         const AnalogLayerSim& dense,
+                                         const std::string& entry) {
+          EXPECT_EQ(sim.stats().adc_conversions,
+                    dense.stats().adc_conversions)
+              << what << " " << entry;
+          EXPECT_EQ(sim.stats().adc_clip_events,
+                    dense.stats().adc_clip_events)
+              << what << " " << entry;
+          EXPECT_EQ(sim.stats().dac_cycles, dense.stats().dac_cycles)
+              << what << " " << entry;
+          EXPECT_GT(sim.stats().adc_clip_events, 0) << what << " " << entry;
+        };
+
+        // mvm and mvm_batch against per-sample dense mvm.
+        AnalogLayerSim single(layer, cfg);
+        AnalogLayerSim batched(layer, cfg);
+        AnalogLayerSim dense(layer, dense_cfg);
+        const auto yb = batched.mvm_batch(xs, kBatch);
+        for (std::int64_t s = 0; s < kBatch; ++s) {
+          const std::vector<std::int32_t> x(xs.begin() + s * layer.rows,
+                                            xs.begin() + (s + 1) * layer.rows);
+          const auto y_ref = dense.mvm(x);
+          EXPECT_EQ(single.mvm(x), y_ref) << what << " mvm sample " << s;
+          const std::vector<std::int64_t> row(
+              yb.begin() + s * layer.cols, yb.begin() + (s + 1) * layer.cols);
+          EXPECT_EQ(row, y_ref) << what << " mvm_batch sample " << s;
+        }
+        expect_counters(single, dense, "mvm");
+        expect_counters(batched, dense, "mvm_batch");
+
+        // mvm_real_columns against per-sample dense mvm_real(_signed).
+        for (const bool signed_input : {false, true}) {
+          Tensor xin = xcols.clone();
+          if (!signed_input)
+            for (std::int64_t i = 0; i < xin.numel(); ++i)
+              xin.data()[i] = std::fabs(xin.data()[i]);
+          AnalogLayerSim cols(layer, cfg);
+          AnalogLayerSim cols_dense(layer, dense_cfg);
+          const Tensor yc = cols.mvm_real_columns(xin, q, signed_input);
+          for (std::int64_t s = 0; s < kBatch; ++s) {
+            std::vector<float> x(static_cast<std::size_t>(layer.rows));
+            for (std::int64_t r = 0; r < layer.rows; ++r)
+              x[static_cast<std::size_t>(r)] = xin.at(r, s);
+            const auto y = signed_input ? cols_dense.mvm_real_signed(x, q)
+                                        : cols_dense.mvm_real(x, q);
+            for (std::int64_t o = 0; o < layer.cols; ++o)
+              EXPECT_EQ(yc.at(o, s), y[static_cast<std::size_t>(o)])
+                  << what << " columns signed=" << signed_input << " sample "
+                  << s << " column " << o;
+          }
+          expect_counters(cols, cols_dense,
+                          signed_input ? "columns signed" : "columns");
         }
       }
     }
