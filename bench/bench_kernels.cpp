@@ -22,6 +22,7 @@
 #include "core/projection.hpp"
 #include "fault/evaluate.hpp"
 #include "msim/analog_mvm.hpp"
+#include "msim/analog_network.hpp"
 #include "runtime/parallel.hpp"
 #include "tensor/check.hpp"
 #include "tensor/gemm.hpp"
@@ -336,12 +337,13 @@ std::vector<SweepKernel> make_sweep_kernels() {
                        },
                        sixteen_mvms(var_dense)});
 
-    // The same chip behind a conv hook: one mvm_real_columns call on 16
-    // post-ReLU-like columns (about two thirds zero codes, most of the
+    // The same chip behind a conv hook: 16 mvm_real_columns calls, each on
+    // 16 post-ReLU-like columns (about two thirds zero codes, most of the
     // rest small, a few past full scale), where the general path's
     // zero-code skip and dead-cycle bound do work — uniform codes are
-    // their worst case. Digest-checked against 16 per-sample mvm_real
-    // calls on a separate sim.
+    // their worst case. Sixteen calls rather than one keep a single host
+    // descheduling from dominating the row. Each call is digest-checked
+    // against 16 per-sample mvm_real calls on a separate sim.
     xbar::QuantParams relu_q;
     relu_q.bits = 8;
     relu_q.scale = 0.043F;
@@ -364,19 +366,25 @@ std::vector<SweepKernel> make_sweep_kernels() {
         for (std::int64_t c = 0; c < layer->cols; ++c)
           ys.at(c, s) = y[static_cast<std::size_t>(c)];
       }
-      relu_expect = fnv1a(
+      const std::uint64_t once = fnv1a(
           ys.data(), sizeof(float) * static_cast<std::size_t>(ys.numel()));
+      for (int rep = 0; rep < 16; ++rep) relu_expect = fold(relu_expect, once);
     }
     auto relu_sim = std::make_shared<msim::AnalogLayerSim>(*layer, var_cfg);
-    kernels.push_back({"analog_mvm_cp16_general_relu",
-                       [relu_sim, layer, relu_cols, relu_q] {
-                         const Tensor y = relu_sim->mvm_real_columns(
-                             *relu_cols, relu_q, /*signed_input=*/false);
-                         return fnv1a(y.data(),
-                                      sizeof(float) *
-                                          static_cast<std::size_t>(y.numel()));
-                       },
-                       relu_expect});
+    kernels.push_back(
+        {"analog_mvm_cp16_general_relu",
+         [relu_sim, layer, relu_cols, relu_q] {
+           std::uint64_t h = 0;
+           for (int rep = 0; rep < 16; ++rep) {
+             const Tensor y = relu_sim->mvm_real_columns(
+                 *relu_cols, relu_q, /*signed_input=*/false);
+             h = fold(h, fnv1a(y.data(),
+                               sizeof(float) *
+                                   static_cast<std::size_t>(y.numel())));
+           }
+           return h;
+         },
+         relu_expect});
   }
 
   return kernels;
@@ -400,6 +408,29 @@ int run_thread_sweep(const std::string& json_path) {
     const double vals[3] = {r.clean_accuracy, r.mean_accuracy,
                             r.min_accuracy};
     return fnv1a(vals, sizeof(vals));
+  }});
+
+  // Activation calibration of the bench model on 128 images: every conv
+  // hook scans its patch matrix once and declines, so the row times the
+  // float forward with its segmented conv GEMMs plus the range scans.
+  // Mapping and plan compilation happen once, outside the timed calls; the
+  // digest is the calibrated quantizer scales and signed-input flags.
+  data::SyntheticSpec calib_spec = data::tier_by_name("cifar10");
+  calib_spec.image_size = 8;
+  calib_spec.train_per_class = 13;
+  const data::Dataset calib_images = data::make_synthetic(calib_spec).train;
+  auto calib_model = bench::bench_model("resnet18", 10);
+  const xbar::MappedNetwork calib_net = xbar::map_model(*calib_model, mapping);
+  msim::AnalogNetwork calib_chip(*calib_model, calib_net, msim::MsimConfig{});
+  kernels.push_back({"calibrate_resnet18_128", [&] {
+    calib_chip.calibrate(calib_images, 128);
+    std::vector<float> scales;
+    for (const auto& q : calib_chip.activation_quant())
+      scales.push_back(q.scale);
+    const std::vector<char> flags(calib_chip.signed_input().begin(),
+                                  calib_chip.signed_input().end());
+    return fold(fnv1a(scales.data(), sizeof(float) * scales.size()),
+                fnv1a(flags.data(), flags.size()));
   }});
 
   const unsigned hw = std::thread::hardware_concurrency();

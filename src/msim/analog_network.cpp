@@ -173,8 +173,9 @@ void AnalogNetwork::install_hooks() {
       conv->set_mvm_hook([this, i](const Tensor& cols)
                              -> std::optional<Tensor> {
         if (mode_ == Mode::kCalibrate) {
-          observed_max_[i] = std::max(observed_max_[i], max_abs(cols));
-          if (min_value(cols) < 0.0F) signed_input_[i] = true;
+          const RangeScan r = scan_range(cols);
+          observed_max_[i] = std::max(observed_max_[i], r.max_abs);
+          if (r.negative) signed_input_[i] = true;
           return std::nullopt;  // float path computes the result
         }
         // The whole batch's patch matrix, one pixel MVM per column.
@@ -186,8 +187,9 @@ void AnalogNetwork::install_hooks() {
       fc->set_mvm_hook([this, i](const Tensor& input)
                            -> std::optional<Tensor> {
         if (mode_ == Mode::kCalibrate) {
-          observed_max_[i] = std::max(observed_max_[i], max_abs(input));
-          if (min_value(input) < 0.0F) signed_input_[i] = true;
+          const RangeScan r = scan_range(input);
+          observed_max_[i] = std::max(observed_max_[i], r.max_abs);
+          if (r.negative) signed_input_[i] = true;
           return std::nullopt;
         }
         return analog_linear_mvm(*sims_[i], input, act_quant_[i],
@@ -216,10 +218,11 @@ void AnalogNetwork::calibrate(const data::Dataset& sample,
   std::fill(signed_input_.begin(), signed_input_.end(), false);
   // Forward in chunks: every conv hook sees one chunk's whole patch matrix,
   // so the chunk bounds the transient memory. Observed maxima and signs do
-  // not depend on the chunking, and neither do the float activations: the
-  // declining conv hooks fall back to per-sample GEMMs, and a chunk size
-  // that is a multiple of the GEMM's 4-row register tile keeps every
-  // Linear row on the same kernel path.
+  // not depend on the chunking, and neither do the float activations: a
+  // declining conv hook runs one GEMM per chunk, segmented per sample,
+  // which rounds exactly like per-sample GEMMs, and a chunk size that is a
+  // multiple of the GEMM's 4-row register tile keeps every Linear row on
+  // the same kernel path.
   constexpr std::int64_t kChunk = 16;
   const auto n = std::min<std::int64_t>(sample.size(), max_images);
   for (std::int64_t c0 = 0; c0 < n; c0 += kChunk) {

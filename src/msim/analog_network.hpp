@@ -51,7 +51,9 @@ class AnalogNetwork {
   AnalogNetwork& operator=(const AnalogNetwork&) = delete;
 
   /// Calibrates per-layer activation quantizers from up to `max_images`
-  /// examples (float forward passes; hooks pass through).
+  /// examples (float forward passes; hooks record each layer's input range
+  /// in one scan and decline, so a conv runs one GEMM per chunk, segmented
+  /// per sample, with the per-sample reference floats).
   void calibrate(const data::Dataset& sample, std::int64_t max_images = 32);
 
   /// Analog forward pass (inference mode). Requires calibrate() first.

@@ -104,11 +104,17 @@ Tensor Conv2d::forward_hooked(const Tensor& input) {
   Tensor cols({geom_.patch_rows(), batch * p});
   im2col_batch(input.data(), batch, geom_, cols.data());
   const std::optional<Tensor> hooked = mvm_hook_(cols);
-  // Declined (e.g. activation calibration): the per-sample reference GEMMs
-  // give the float result. The batched GEMM would not do: it is not bit-
-  // equal to them for every shape, and calibrated ranges must not depend
-  // on which path ran.
-  if (!hooked.has_value()) return forward_reference(input, false);
+  if (!hooked.has_value()) {
+    // Declined (e.g. activation calibration): one GEMM over the patch
+    // matrix with one segment per sample reproduces the per-sample
+    // reference GEMMs bit for bit, so calibrated ranges do not depend on
+    // the batch or on set_batched.
+    const Tensor w2d =
+        weight_.value.reshape({out_channels_, geom_.patch_rows()});
+    Tensor out2d({out_channels_, batch * p});
+    gemm(w2d, false, cols, false, out2d, 1.0F, 0.0F, nullptr, p);
+    return scatter_output(out2d.data(), batch);
+  }
   TINYADC_CHECK(hooked->numel() == out_channels_ * batch * p,
                 "Conv2d " << name() << ": MVM hook returned "
                           << shape_to_string(hooked->shape()) << ", expected ["

@@ -25,8 +25,10 @@ namespace tinyadc::nn {
 ///    (set_batched(false) — mirrors MsimConfig::use_plan).
 ///  * **hooked** (inference with an MvmHook installed, either setting of
 ///    set_batched): the whole batch is lowered once and offered to the
-///    hook in a single call. If the hook declines, the reference path
-///    computes the output, so a declining hook is invisible in the result.
+///    hook in a single call. If the hook declines, one GEMM over that
+///    patch matrix, segmented per sample (gemm's `segment` = p), computes
+///    the output bit-identically to the reference path, so a declining
+///    hook is invisible in the result.
 class Conv2d final : public Layer {
  public:
   /// Constructs with Kaiming initialization.

@@ -91,7 +91,8 @@ void edge_rows(const float* a, std::int64_t lda, const float* b,
 }  // namespace
 
 void gemm(const Tensor& a, bool transpose_a, const Tensor& b, bool transpose_b,
-          Tensor& c, float alpha, float beta, GemmScratch* scratch) {
+          Tensor& c, float alpha, float beta, GemmScratch* scratch,
+          std::int64_t segment) {
   TINYADC_CHECK(a.ndim() == 2 && b.ndim() == 2 && c.ndim() == 2,
                 "gemm requires 2-D tensors, got " << a.ndim() << "/" << b.ndim()
                                                   << "/" << c.ndim());
@@ -103,6 +104,10 @@ void gemm(const Tensor& a, bool transpose_a, const Tensor& b, bool transpose_b,
   TINYADC_CHECK(c.dim(0) == m && c.dim(1) == n,
                 "gemm output shape " << shape_to_string(c.shape())
                                      << " != [" << m << ", " << n << "]");
+  const std::int64_t seg = segment == 0 ? n : segment;
+  TINYADC_CHECK(seg > 0 && n % seg == 0,
+                "gemm segment " << segment << " does not divide " << n
+                                << " columns");
 
   // Materializing transposed operands keeps one hot inner loop. The scratch
   // is per-call by default (the former `static thread_local` buffers aliased
@@ -131,9 +136,15 @@ void gemm(const Tensor& a, bool transpose_a, const Tensor& b, bool transpose_b,
   // bit-identical at any thread count. Columns split into kNR-wide
   // register tiles plus a scalar edge; k is blocked so a B panel stays in
   // cache across the i tiles of one chunk.
+  //
+  // Column tiling restarts at every segment, so each segment's columns take
+  // exactly the code paths (and rounding) of a standalone gemm of that
+  // segment. A segment narrower than kNR is all edge columns; edge_rows
+  // rounds each element alike whatever column range it is given, so one
+  // pass covers every segment.
   float* pc = c.data();
   const std::int64_t tiles = (m + kMR - 1) / kMR;
-  const std::int64_t n_main = n - n % kNR;
+  const std::int64_t seg_main = seg - seg % kNR;
   const std::int64_t tile_grain =
       std::max<std::int64_t>(1, row_grain(k, n) / kMR);
   runtime::parallel_for(
@@ -149,12 +160,18 @@ void gemm(const Tensor& a, bool transpose_a, const Tensor& b, bool transpose_b,
           const std::int64_t k1 = std::min(k, k0 + kKBlock);
           std::int64_t i = i0;
           for (; i + kMR <= i1; i += kMR) {
-            for (std::int64_t j = 0; j < n_main; j += kNR)
-              micro_kernel(pa + i * k + k0, k, pb + k0 * n + j, n,
-                           pc + i * n + j, n, k1 - k0, alpha);
-            if (n_main < n)
-              edge_rows(pa, k, pb, n, pc, n, i, i + kMR, n_main, n, k0, k1,
-                        alpha);
+            if (seg_main == 0) {
+              edge_rows(pa, k, pb, n, pc, n, i, i + kMR, 0, n, k0, k1, alpha);
+            } else {
+              for (std::int64_t s0 = 0; s0 < n; s0 += seg) {
+                for (std::int64_t j = s0; j < s0 + seg_main; j += kNR)
+                  micro_kernel(pa + i * k + k0, k, pb + k0 * n + j, n,
+                               pc + i * n + j, n, k1 - k0, alpha);
+                if (seg_main < seg)
+                  edge_rows(pa, k, pb, n, pc, n, i, i + kMR, s0 + seg_main,
+                            s0 + seg, k0, k1, alpha);
+              }
+            }
           }
           if (i < i1) edge_rows(pa, k, pb, n, pc, n, i, i1, 0, n, k0, k1,
                                 alpha);

@@ -31,9 +31,15 @@ struct GemmScratch {
 /// C is (M×N). All matrices are dense row-major 2-D tensors; C must be
 /// pre-allocated with the right shape. `scratch` (optional) backs the
 /// transpose materialization; nullptr falls back to per-call buffers.
+///
+/// `segment` (0 = the whole width N) splits the N columns into independent
+/// segment-wide blocks: each block of C is bit-identical to a standalone
+/// gemm of that block of B. It must divide N. A conv runs its batch's
+/// patch matrix with segment p (pixels per sample) and so matches
+/// per-sample GEMMs exactly.
 void gemm(const Tensor& a, bool transpose_a, const Tensor& b, bool transpose_b,
           Tensor& c, float alpha = 1.0F, float beta = 0.0F,
-          GemmScratch* scratch = nullptr);
+          GemmScratch* scratch = nullptr, std::int64_t segment = 0);
 
 /// Convenience: returns op(A) · op(B) as a fresh tensor.
 Tensor matmul(const Tensor& a, const Tensor& b, bool transpose_a = false,

@@ -132,6 +132,37 @@ float max_abs(const Tensor& a) {
   return m;
 }
 
+RangeScan scan_range(const Tensor& a) {
+  TINYADC_CHECK(a.numel() > 0, "scan_range of empty tensor");
+  // Independent per-lane accumulators let the compiler vectorize the scan.
+  // The result does not depend on the lane split: NaN never enters either
+  // accumulator (each update keeps its old value on NaN, like std::max in
+  // max_abs and std::min in min_value), so both are plain extrema of the
+  // non-NaN values. min_value starts at a_0, so a NaN there pins it to NaN.
+  constexpr std::int64_t kLanes = 16;
+  const float* p = a.data();
+  const std::int64_t n = a.numel();
+  float hi[kLanes] = {};
+  float lo[kLanes] = {};
+  std::int64_t i = 0;
+  for (; i + kLanes <= n; i += kLanes)
+    for (std::int64_t j = 0; j < kLanes; ++j) {
+      hi[j] = std::max(hi[j], std::fabs(p[i + j]));
+      lo[j] = std::min(lo[j], p[i + j]);
+    }
+  for (; i < n; ++i) {
+    hi[0] = std::max(hi[0], std::fabs(p[i]));
+    lo[0] = std::min(lo[0], p[i]);
+  }
+  RangeScan r{0.0F, false};
+  for (std::int64_t j = 0; j < kLanes; ++j) {
+    r.max_abs = std::max(r.max_abs, hi[j]);
+    r.negative = r.negative || lo[j] < 0.0F;
+  }
+  r.negative = r.negative && !std::isnan(p[0]);
+  return r;
+}
+
 double frobenius_norm(const Tensor& a) {
   double s = 0.0;
   const float* p = a.data();

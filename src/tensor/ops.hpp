@@ -55,6 +55,15 @@ float max_value(const Tensor& a);
 float min_value(const Tensor& a);
 /// max_i |a_i| (0 for empty tensors).
 float max_abs(const Tensor& a);
+
+/// What activation calibration reads of a tensor, in one pass.
+struct RangeScan {
+  float max_abs;  ///< == max_abs(a)
+  bool negative;  ///< == (min_value(a) < 0), so false when a_0 is NaN
+};
+/// max_abs(a) and min_value(a) < 0 in one multi-accumulator pass (requires
+/// non-empty); both equal the two calls' results for every input.
+RangeScan scan_range(const Tensor& a);
 /// sqrt(Σ a_i²) — Frobenius norm.
 double frobenius_norm(const Tensor& a);
 /// Σ_i [a_i ≠ 0] — support size.

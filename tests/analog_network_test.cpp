@@ -9,6 +9,7 @@
 #include "msim/analog_network.hpp"
 #include "nn/models.hpp"
 #include "nn/trainer.hpp"
+#include "runtime/parallel.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/ops.hpp"
 
@@ -135,6 +136,69 @@ TEST(MvmHook, DecliningConvHookGivesReferenceOutput) {
         << "batched=" << use_batched;
     conv.set_mvm_hook(nullptr);
   }
+}
+
+/// A declining hook's segmented GEMM equals the per-sample reference GEMMs
+/// bit for bit on every shape class: p = out_h·out_w from 1 to 80 (all-edge
+/// narrow samples, exactly one 32-wide tile, tiles plus edge columns),
+/// k = C·K·K on both sides of the 64-deep k block, m % 4 edge rows (out
+/// channels 3, 5, 8), with and without bias, at several batch sizes and
+/// thread counts.
+TEST(MvmHook, DecliningConvHookMatchesReferenceOnShapeGrid) {
+  // (out_h, out_w): p = 1 … 80.
+  const std::pair<std::int64_t, std::int64_t> outs[] = {
+      {1, 1}, {1, 3}, {2, 2}, {3, 5}, {4, 4}, {4, 8},
+      {3, 11}, {7, 7}, {8, 8}, {5, 13}, {8, 10}};
+  for (const int threads : {1, 4}) {
+    runtime::set_thread_count(threads);
+    for (const std::int64_t kernel : {1, 3})
+      for (const std::int64_t stride : {1, 2}) {
+        // k = C·K·K: 16 or 27 taps (one k block), 73 or 81 (two).
+        const std::int64_t channels[] = {kernel == 1 ? 16 : 3,
+                                         kernel == 1 ? 73 : 9};
+        for (const std::int64_t in_channels : channels)
+          for (const std::int64_t out_channels : {3, 5, 8})
+            for (const bool bias : {false, true}) {
+              Rng rng(static_cast<std::uint64_t>(kernel * 1000 + stride * 100 +
+                                                 in_channels * 10 +
+                                                 out_channels + bias));
+              nn::Conv2d conv("c", in_channels, out_channels, kernel, stride,
+                              kernel / 2, bias, rng);
+              if (bias) {
+                const Tensor b = Tensor::randn({out_channels}, rng);
+                conv.bias().value.copy_from(b);
+              }
+              for (const auto& [oh, ow] : outs)
+                for (const std::int64_t batch : {1, 3, 16}) {
+                  const Tensor x = Tensor::randn(
+                      {batch, in_channels, stride * (oh - 1) + 1,
+                       stride * (ow - 1) + 1},
+                      rng);
+                  conv.set_batched(false);
+                  const Tensor reference = conv.forward(x, false);
+                  conv.set_batched(true);
+                  ASSERT_EQ(reference.shape(),
+                            (Shape{batch, out_channels, oh, ow}));
+                  conv.set_mvm_hook(
+                      [](const Tensor&) -> std::optional<Tensor> {
+                        return std::nullopt;
+                      });
+                  const Tensor got = conv.forward(x, false);
+                  conv.set_mvm_hook(nullptr);
+                  ASSERT_EQ(std::memcmp(got.data(), reference.data(),
+                                        static_cast<std::size_t>(
+                                            reference.numel()) *
+                                            sizeof(float)),
+                            0)
+                      << "threads=" << threads << " kernel=" << kernel
+                      << " stride=" << stride << " C=" << in_channels
+                      << " F=" << out_channels << " bias=" << bias
+                      << " p=" << oh * ow << " batch=" << batch;
+                }
+            }
+      }
+  }
+  runtime::set_thread_count(0);
 }
 
 TEST(MvmHook, TrainingPathIgnoresHook) {

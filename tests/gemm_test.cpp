@@ -2,8 +2,10 @@
 // and a parameterized property sweep against a naive triple loop.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 
+#include "runtime/parallel.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 
@@ -118,6 +120,57 @@ TEST(Gemm, OutputShapeMismatchThrows) {
   Tensor b({3, 4});
   Tensor c({2, 3});
   EXPECT_THROW(gemm(a, false, b, false, c), CheckError);
+}
+
+/// A segmented gemm's column blocks are bit-identical to standalone gemms
+/// of each block: column tiling restarts at every segment, so m % 4 edge
+/// rows, 32-wide tiles, edge columns and all-edge narrow segments each
+/// round exactly as they would alone. A has zero entries, which the edge
+/// path skips.
+TEST(Gemm, SegmentedMatchesPerSegmentGemm) {
+  for (const int threads : {1, 4}) {
+    runtime::set_thread_count(threads);
+    for (const std::int64_t m : {1, 3, 4, 5, 9})
+      for (const std::int64_t k : {1, 27, 64, 65, 577})
+        for (const std::int64_t p : {1, 4, 16, 31, 32, 33, 49, 64, 100})
+          for (const std::int64_t segments : {1, 2, 5}) {
+            Rng rng(static_cast<std::uint64_t>(m * 7919 + k * 131 + p * 7 +
+                                               segments));
+            Tensor a = Tensor::randn({m, k}, rng);
+            for (std::int64_t i = 0; i < a.numel(); i += 3)
+              a.data()[i] = 0.0F;
+            const Tensor b = Tensor::randn({k, segments * p}, rng);
+            Tensor c({m, segments * p});
+            gemm(a, false, b, false, c, 1.0F, 0.0F, nullptr, p);
+            for (std::int64_t s = 0; s < segments; ++s) {
+              Tensor bs({k, p});
+              const auto row_bytes =
+                  sizeof(float) * static_cast<std::size_t>(p);
+              for (std::int64_t r = 0; r < k; ++r)
+                std::memcpy(bs.data() + r * p,
+                            b.data() + r * segments * p + s * p, row_bytes);
+              const Tensor want = matmul(a, bs);
+              for (std::int64_t r = 0; r < m; ++r)
+                ASSERT_EQ(std::memcmp(c.data() + r * segments * p + s * p,
+                                      want.data() + r * p, row_bytes),
+                          0)
+                    << "threads=" << threads << " m=" << m << " k=" << k
+                    << " p=" << p << " segment " << s << " of " << segments
+                    << " row " << r;
+            }
+          }
+  }
+  runtime::set_thread_count(0);
+
+  Tensor a({2, 3});
+  Tensor b({3, 10});
+  Tensor c({2, 10});
+  EXPECT_THROW(gemm(a, false, b, false, c, 1.0F, 0.0F, nullptr, 4),
+               CheckError);
+  EXPECT_THROW(gemm(a, false, b, false, c, 1.0F, 0.0F, nullptr, 20),
+               CheckError);
+  EXPECT_THROW(gemm(a, false, b, false, c, 1.0F, 0.0F, nullptr, -5),
+               CheckError);
 }
 
 TEST(Matvec, MatchesGemm) {

@@ -1,6 +1,10 @@
 // Unit tests for the Tensor core: construction, geometry, sharing semantics.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 
@@ -158,6 +162,58 @@ TEST(TensorOps, Reductions) {
   EXPECT_FLOAT_EQ(max_abs(a), 4.0F);
   EXPECT_NEAR(frobenius_norm(a), std::sqrt(30.0), 1e-9);
   EXPECT_EQ(count_nonzero(a), 4);
+}
+
+/// scan_range must return exactly max_abs(a) (compared bitwise) and
+/// min_value(a) < 0 for every input: NaN at index 0 (min_value stays NaN,
+/// so no sign is reported) or elsewhere (ignored by both), -0.0 (not
+/// negative), infinities, single elements and lengths that are not a
+/// multiple of the accumulator lane count.
+TEST(TensorOps, ScanRangeMatchesMaxAbsAndMinValue) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const auto check = [](const Tensor& a) {
+    const RangeScan r = scan_range(a);
+    const float want = max_abs(a);
+    EXPECT_EQ(std::memcmp(&r.max_abs, &want, sizeof(float)), 0)
+        << "numel=" << a.numel() << " got " << r.max_abs << " want " << want;
+    EXPECT_EQ(r.negative, min_value(a) < 0.0F) << "numel=" << a.numel();
+  };
+  for (const float v : {0.0F, -0.0F, nan, -nan, 1.5F, -1.5F, inf, -inf})
+    check(Tensor::from({v}));
+  Rng rng(11);
+  for (std::int64_t n = 1; n <= 70; ++n) {
+    for (int pattern = 0; pattern < 8; ++pattern) {
+      Tensor a = Tensor::randn({n}, rng);
+      float* p = a.data();
+      switch (pattern) {
+        case 0: break;
+        case 1: p[0] = nan; break;  // NaN first: no sign, whatever follows
+        case 2: p[n - 1] = nan; break;
+        case 3:  // non-negative apart from -0.0 entries
+          for (std::int64_t i = 0; i < n; ++i)
+            p[i] = i % 3 == 0 ? -0.0F : std::fabs(p[i]);
+          break;
+        case 4:  // one negative value, last (a tail lane when n % 16 != 0)
+          for (std::int64_t i = 0; i < n; ++i) p[i] = std::fabs(p[i]);
+          p[n - 1] = -0.25F;
+          break;
+        case 5:  // NaN first, then non-negative values and -0.0
+          for (std::int64_t i = 0; i < n; ++i) p[i] = -0.0F;
+          p[0] = nan;
+          break;
+        case 6:
+          for (std::int64_t i = 0; i < n; i += 5) p[i] = nan;
+          break;
+        case 7:
+          p[n / 2] = -inf;
+          if (n > 2) p[1] = nan;
+          break;
+      }
+      check(a);
+    }
+  }
+  EXPECT_THROW(scan_range(Tensor()), CheckError);
 }
 
 TEST(TensorOps, CountNonzeroSkipsZeros) {
