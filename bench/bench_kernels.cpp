@@ -23,6 +23,7 @@
 #include "fault/evaluate.hpp"
 #include "msim/analog_mvm.hpp"
 #include "msim/analog_network.hpp"
+#include "reference/dense_sim.hpp"
 #include "runtime/parallel.hpp"
 #include "tensor/check.hpp"
 #include "tensor/gemm.hpp"
@@ -118,22 +119,13 @@ Tensor cp_bench_matrix(std::int64_t keep) {
   return m;
 }
 
-/// The CP benchmarks' simulator: the packed plan, or the legacy dense row
-/// scan it is verified against.
-msim::MsimConfig cp_bench_sim_config(bool use_plan) {
-  msim::MsimConfig sim_cfg;
-  sim_cfg.use_plan = use_plan;
-  return sim_cfg;
-}
-
-/// Analog MVM at CP sparsity l = range(0) of r = 128 crossbar rows through
-/// the packed plan (range(1) = 1) or the dense scan (0).
+/// Analog MVM at CP sparsity l = range(0) of r = 128 crossbar rows.
 void BM_AnalogMvmCp(benchmark::State& state) {
   const Tensor m = cp_bench_matrix(state.range(0));
   xbar::MappingConfig cfg;
   cfg.dims = {128, 128};
   const auto layer = xbar::map_matrix(m, "bench", cfg);
-  msim::AnalogLayerSim sim(layer, cp_bench_sim_config(state.range(1) != 0));
+  msim::AnalogLayerSim sim(layer, {});
   Rng rng(7);
   std::vector<std::int32_t> x(512);
   for (auto& v : x) v = static_cast<std::int32_t>(rng.uniform_int(256));
@@ -142,12 +134,7 @@ void BM_AnalogMvmCp(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
 }
-BENCHMARK(BM_AnalogMvmCp)
-    ->ArgNames({"l", "plan"})
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({4, 1})
-    ->Args({128, 1});
+BENCHMARK(BM_AnalogMvmCp)->ArgName("l")->Arg(16)->Arg(4)->Arg(128);
 
 // ---------------------------------------------------------------------------
 // Thread sweep with bit-identity verification (--json / TINYADC_BENCH_JSON).
@@ -168,9 +155,8 @@ std::uint64_t fold(std::uint64_t h, std::uint64_t digest) {
 struct SweepKernel {
   std::string name;
   std::function<std::uint64_t()> run;
-  /// Digest of an independent reference run the kernel must reproduce.
-  /// Unset for the ideal analog_mvm_cp16_{dense,plan} rows, which instead
-  /// must agree with each other.
+  /// Digest of an independent reference run the kernel must reproduce
+  /// (unset: only the across-thread-count identity is checked).
   std::optional<std::uint64_t> expect = std::nullopt;
 };
 
@@ -231,22 +217,12 @@ std::vector<SweepKernel> make_sweep_kernels() {
     }});
   }
 
-  // The acceptance case: analog MVM at CP sparsity l = 16 of r = 128,
-  // through the packed plan and the dense scan. The fixture (matrix
-  // generation, mapping, plan compilation) is hoisted out of the timed
-  // region — these rows measure exactly 16 mvm() calls, i.e. the executor
-  // itself. Both rows compute the same product, so their digests must
-  // agree with each other as well as across thread counts (checked in
-  // run_thread_sweep).
+  // The acceptance case: analog MVM at CP sparsity l = 16 of r = 128. The
+  // fixture (matrix generation, mapping, plan compilation) and every row's
+  // expected digest — the dense reference model's output for the same
+  // configuration (reference/dense_sim.hpp) — are computed outside the
+  // timed region, so these rows measure the executor itself.
   {
-    struct CpCase {
-      const char* name;
-      bool use_plan;
-    };
-    const CpCase cases[] = {
-        {"analog_mvm_cp16_dense", false},
-        {"analog_mvm_cp16_plan", true},
-    };
     const Tensor m = cp_bench_matrix(16);
     xbar::MappingConfig cfg;
     cfg.dims = {128, 128};
@@ -255,7 +231,8 @@ std::vector<SweepKernel> make_sweep_kernels() {
     auto x = std::make_shared<std::vector<std::int32_t>>(512);
     Rng rng(7);
     for (auto& v : *x) v = static_cast<std::int32_t>(rng.uniform_int(256));
-    const auto sixteen_mvms = [x](msim::AnalogLayerSim& sim) {
+    // 16 mvm() calls on a simulator or on the dense reference model.
+    const auto sixteen_mvms = [x](auto& sim) {
       std::uint64_t h = 0;
       for (int rep = 0; rep < 16; ++rep) {
         const auto y = sim.mvm(*x);
@@ -263,24 +240,27 @@ std::vector<SweepKernel> make_sweep_kernels() {
       }
       return h;
     };
-    for (const auto& c : cases) {
-      auto sim = std::make_shared<msim::AnalogLayerSim>(
-          *layer, cp_bench_sim_config(c.use_plan));
-      kernels.push_back(
-          {c.name, [sim, layer, sixteen_mvms] { return sixteen_mvms(*sim); }});
-    }
+
+    auto plan_sim = std::make_shared<msim::AnalogLayerSim>(
+        *layer, msim::MsimConfig{});
+    reference::DenseSim plan_dense(*layer, {}, plan_sim->variation());
+    kernels.push_back({"analog_mvm_cp16_plan",
+                       [plan_sim, layer, sixteen_mvms] {
+                         return sixteen_mvms(*plan_sim);
+                       },
+                       sixteen_mvms(plan_dense)});
 
     // The serve path's batched entry point on the same ideal layer: 16
     // mvm_batch calls on 8 samples (the fused sample lanes, one stream walk
-    // per 8-sample block), digest-checked against 8 per-sample mvm() calls
-    // per batch on a separate sim.
+    // per 8-sample block), digest-checked against 8 per-sample calls of
+    // the dense model per batch.
     auto xs8 = std::make_shared<std::vector<std::int32_t>>(8 * 512);
     for (auto& v : *xs8) v = static_cast<std::int32_t>(rng.uniform_int(256));
-    auto b8_sim = std::make_shared<msim::AnalogLayerSim>(
-        *layer, cp_bench_sim_config(true));
+    auto b8_sim = std::make_shared<msim::AnalogLayerSim>(*layer,
+                                                         msim::MsimConfig{});
     std::uint64_t b8_expect = 0;
     {
-      msim::AnalogLayerSim ref(*layer, cp_bench_sim_config(true));
+      reference::DenseSim ref(*layer, {}, b8_sim->variation());
       std::vector<std::int64_t> ys;
       for (int s = 0; s < 8; ++s) {
         const std::vector<std::int32_t> x(xs8->begin() + s * 512,
@@ -306,16 +286,14 @@ std::vector<SweepKernel> make_sweep_kernels() {
     // The same ideal layer on an ADC two bits under Eq. 1, the
     // undersized-ADC studies' setting: the plan may clip, so it runs the
     // general lanes with unit variation and divisors. Digest-checked
-    // against the dense scan of the same configuration.
+    // against the dense model of the same configuration.
     msim::MsimConfig clip_cfg;
     clip_cfg.adc_bits_override = layer->required_adc_bits() - 2;
-    msim::MsimConfig clip_dense_cfg = clip_cfg;
-    clip_dense_cfg.use_plan = false;
-    msim::AnalogLayerSim clip_dense(*layer, clip_dense_cfg);
+    auto clip_sim = std::make_shared<msim::AnalogLayerSim>(*layer, clip_cfg);
+    reference::DenseSim clip_dense(*layer, clip_cfg, clip_sim->variation());
     const std::uint64_t clip_expect = sixteen_mvms(clip_dense);
     TINYADC_CHECK(clip_dense.stats().adc_clip_events > 0,
                   "analog_mvm_cp16_clip must exercise a clipping ADC");
-    auto clip_sim = std::make_shared<msim::AnalogLayerSim>(*layer, clip_cfg);
     kernels.push_back({"analog_mvm_cp16_clip",
                        [clip_sim, layer, sixteen_mvms] {
                          return sixteen_mvms(*clip_sim);
@@ -324,13 +302,11 @@ std::vector<SweepKernel> make_sweep_kernels() {
 
     // The same layer as a programmed chip (sigma = 0.1 conductance
     // variation): the plan runs the non-ideal general path, which must
-    // reproduce the dense scan of the same variation draw bit for bit.
+    // reproduce the dense model of the same variation draw bit for bit.
     msim::MsimConfig var_cfg;
     var_cfg.variation_sigma = 0.1;
-    msim::MsimConfig var_dense_cfg = var_cfg;
-    var_dense_cfg.use_plan = false;
-    msim::AnalogLayerSim var_dense(*layer, var_dense_cfg);
     auto var_sim = std::make_shared<msim::AnalogLayerSim>(*layer, var_cfg);
+    reference::DenseSim var_dense(*layer, var_cfg, var_sim->variation());
     kernels.push_back({"analog_mvm_cp16_general",
                        [var_sim, layer, sixteen_mvms] {
                          return sixteen_mvms(*var_sim);
@@ -439,11 +415,6 @@ int run_thread_sweep(const std::string& json_path) {
 
   std::vector<bench::KernelTiming> rows;
   bool all_identical = true;
-  // The ideal analog_mvm_cp16_{dense,plan} rows compute the identical
-  // product through the dense scan and the plan — their digests must also
-  // agree with each other.
-  std::uint64_t cp16_digest = 0;
-  bool cp16_seen = false;
   for (const auto& kernel : kernels) {
     std::uint64_t baseline = 0;
     for (const int threads : thread_counts) {
@@ -473,21 +444,10 @@ int run_thread_sweep(const std::string& json_path) {
                   row.identical ? "bit-identical" : "MISMATCH");
       rows.push_back(row);
     }
-    if (kernel.expect) {
-      if (baseline != *kernel.expect) {
-        std::printf("%-24s digest DIVERGES from its dense reference\n",
-                    kernel.name.c_str());
-        all_identical = false;
-      }
-    } else if (kernel.name.rfind("analog_mvm_cp16", 0) == 0) {
-      if (!cp16_seen) {
-        cp16_digest = baseline;
-        cp16_seen = true;
-      } else if (baseline != cp16_digest) {
-        std::printf("%-24s digest DIVERGES from the other cp16 row\n",
-                    kernel.name.c_str());
-        all_identical = false;
-      }
+    if (kernel.expect && baseline != *kernel.expect) {
+      std::printf("%-24s digest DIVERGES from its reference\n",
+                  kernel.name.c_str());
+      all_identical = false;
     }
   }
   runtime::set_thread_count(0);  // restore default resolution

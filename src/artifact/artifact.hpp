@@ -148,8 +148,8 @@ struct Deployment {
 Deployment load_artifact(const std::string& path);
 
 /// Zero-copy load: mmap()s the artifact and restores the PLANS streams and
-/// MAPPING code grids as read-only spans over the mapping (v3 payloads; v2
-/// files transparently fall back to copies). With `async_stream` the cold
+/// MAPPING code grids (their 64-byte-aligned arrays) as read-only spans
+/// over the mapping. With `async_stream` the cold
 /// sections (WEIGHTS, PRUNE, CALIB) are paged in by a background thread
 /// while the hot sections validate on the calling thread. Outputs, ADC
 /// counters and serve digests are bit-identical to load_artifact(), and no

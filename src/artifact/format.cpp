@@ -11,8 +11,10 @@ namespace tinyadc::artifact {
 namespace {
 
 // Minimum alignment the *reader* enforces on section offsets — kept at the
-// original 8 so pre-v3 files (written with 8-byte section alignment) still
-// validate. The writer now lays sections out at kPayloadAlign (64).
+// original 8 so a file written with 8-byte section alignment by an older
+// build still parses and fails at its section's payload version, with the
+// message that says to regenerate it. The writer lays sections out at
+// kPayloadAlign (64).
 constexpr std::size_t kAlign = 8;
 constexpr std::uint64_t kMaxStringBytes = 1ULL << 20;
 constexpr std::uint64_t kMaxTensorRank = 8;

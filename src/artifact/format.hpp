@@ -19,12 +19,15 @@
 // every access through SectionReader, so truncated or malformed artifacts
 // fail with an explicit CheckError instead of bad_alloc or silent garbage.
 //
-// Versioning/compat policy: the container version only changes when the
+// Versioning policy: the container version only changes when the
 // header/table layout changes. Section payloads are versioned by their
 // producer (each domain section starts with its own u32 version), so adding
 // a new section or bumping one section's layout never invalidates the rest.
-// Readers reject unknown container versions and unknown *required* section
-// versions; unknown extra sections are ignored.
+// Each section's reader accepts exactly one payload version — the one its
+// writer emits — and refuses any other with a CheckError that names the
+// version; an artifact written by an older build is regenerated, not
+// converted. Readers also reject unknown container versions; unknown extra
+// sections are ignored.
 #pragma once
 
 #include <cstdint>

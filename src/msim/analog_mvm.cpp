@@ -248,26 +248,14 @@ void serialize(const MsimConfig& config, artifact::SectionWriter& w) {
   w.pod(config.variation_sigma);
   w.pod(config.ir_drop_alpha);
   w.pod(config.seed);
-  w.pod(static_cast<std::uint8_t>(config.use_plan ? 1 : 0));
-  w.pod(std::uint8_t{0});  // kernel byte (see deserialize_msim_config)
 }
 
-MsimConfig deserialize_msim_config(artifact::SectionReader& r,
-                                   std::uint32_t version) {
+MsimConfig deserialize_msim_config(artifact::SectionReader& r) {
   MsimConfig config;
   config.adc_bits_override = r.pod<std::int32_t>();
   config.variation_sigma = r.pod<double>();
   config.ir_drop_alpha = r.pod<double>();
   config.seed = r.pod<std::uint64_t>();
-  config.use_plan = r.pod<std::uint8_t>() != 0;
-  if (version >= 2) {
-    // The kernel byte once chose among four plan executors (0..3). Each
-    // plan now runs the path its datapath implies, and every executor was
-    // bit-identical, so any stored choice loads as the one path there is.
-    const auto kernel = r.pod<std::uint8_t>();
-    TINYADC_CHECK(kernel <= 3,
-                  "implausible plan kernel " << static_cast<int>(kernel));
-  }
   TINYADC_CHECK(config.adc_bits_override >= -1 &&
                     config.adc_bits_override <= 32,
                 "implausible ADC override " << config.adc_bits_override);
@@ -331,7 +319,7 @@ AnalogLayerSim::AnalogLayerSim(const xbar::MappedLayer& layer,
       variation_.push_back(std::move(v));
     }
   }
-  if (config_.use_plan) build_plan();
+  build_plan();
 }
 
 void AnalogLayerSim::build_plan() {
@@ -343,7 +331,7 @@ void AnalogLayerSim::build_plan() {
 
   // The ideal (no variation, no IR drop) datapath sums exact integers, so
   // the plan may accumulate in int64 and cast once — bit-identical to the
-  // dense path's double accumulation as long as every partial plane sum is
+  // dense scan's double accumulation as long as every partial plane sum is
   // exactly representable in a double (< 2^53; true for any physical
   // configuration, checked anyway).
   plan_ideal_ = plan_ideal_for(layer_, config_, !variation_.empty());
@@ -383,7 +371,7 @@ void AnalogLayerSim::build_plan() {
           layer_.kept_cols[static_cast<std::size_t>(b.col0 + c)]);
 
       // Column load for the IR-drop model, from the live codes (matches the
-      // dense path's per-call count; the census is equal at map time but
+      // dense scan's count; the census is equal at map time but
       // kept separate so a stale census can never skew the analog model).
       double column_load = 0.0;
       if (config_.ir_drop_alpha > 0.0) {
@@ -524,12 +512,8 @@ std::vector<std::int64_t> AnalogLayerSim::mvm(
   const auto& cfg = layer_.config;
   std::vector<std::int64_t> y(static_cast<std::size_t>(layer_.cols));
   AdcCounters counters;
-  if (config_.use_plan) {
-    SampleScratch scratch = make_sample_scratch();
-    packed_sample(x.data(), scratch, y.data(), counters);
-  } else {
-    dense_sample(x.data(), y.data(), counters);
-  }
+  SampleScratch scratch = make_sample_scratch();
+  packed_sample(x.data(), scratch, y.data(), counters);
   merge_stats(counters, dac_cycles(cfg.input_bits, cfg.dac_bits));
   return y;
 }
@@ -705,136 +689,15 @@ void AnalogLayerSim::packed_sample(const std::int32_t* x,
     y[soa_out_[pi]] += pair_acc[pi];
 }
 
-void AnalogLayerSim::dense_sample(const std::int32_t* x, std::int64_t* y,
-                                  AdcCounters& counters) const {
-  const auto& cfg = layer_.config;
-  const int slices = cfg.slices();
-  const int cycles = dac_cycles(cfg.input_bits, cfg.dac_bits);
-  const auto n = static_cast<std::size_t>(layer_.rows);
-
-  // Pre-split every activation into DAC chunks: chunk[t][row].
-  std::vector<std::vector<std::int32_t>> chunk(
-      static_cast<std::size_t>(cycles), std::vector<std::int32_t>(n));
-  for (std::size_t r = 0; r < n; ++r) {
-    const auto ch = dac_chunks(x[r], cfg.input_bits, cfg.dac_bits);
-    for (int t = 0; t < cycles; ++t)
-      chunk[static_cast<std::size_t>(t)][r] =
-          ch[static_cast<std::size_t>(t)];
-  }
-
-  // Each (block, logical column) pair converts independently — in hardware
-  // all crossbar arrays fire in parallel. Accumulate every pair's digital
-  // sum and ADC counters separately, then merge serially in a fixed order
-  // so y and the statistics are bit-identical at any thread count.
-  std::vector<std::pair<std::size_t, std::int64_t>> pairs;  // (block, col)
-  for (std::size_t bi = 0; bi < layer_.blocks.size(); ++bi)
-    for (std::int64_t c = 0; c < layer_.blocks[bi].cols; ++c)
-      pairs.emplace_back(bi, c);
-  std::vector<std::int64_t> pair_acc(pairs.size(), 0);
-  std::vector<AdcCounters> pair_counters(pairs.size());
-
-  runtime::parallel_for(
-      0, static_cast<std::int64_t>(pairs.size()), 1,
-      [&](std::int64_t p0, std::int64_t p1) {
-        for (std::int64_t pi = p0; pi < p1; ++pi) {
-          const auto [bi, c] = pairs[static_cast<std::size_t>(pi)];
-          const auto& b = layer_.blocks[bi];
-          const float* var =
-              variation_.empty() ? nullptr : variation_[bi].data();
-          AdcCounters& pc = pair_counters[static_cast<std::size_t>(pi)];
-          // Decompose the column once: per-row slice values by polarity.
-          // sliced[r*slices + s] holds the s-th slice of |q(r,c)|; sign[r]
-          // its polarity.
-          std::vector<std::int32_t> sliced(
-              static_cast<std::size_t>(b.rows * slices), 0);
-          std::vector<int> sign(static_cast<std::size_t>(b.rows), 0);
-          for (std::int64_t r = 0; r < b.rows; ++r) {
-            const std::int32_t q = b.at(r, c);
-            if (q == 0) continue;
-            sign[static_cast<std::size_t>(r)] = q > 0 ? 1 : -1;
-            const auto sl = xbar::slice_magnitude(std::abs(q), cfg.cell_bits,
-                                                  slices);
-            for (int s = 0; s < slices; ++s)
-              sliced[static_cast<std::size_t>(r * slices + s)] =
-                  sl[static_cast<std::size_t>(s)];
-          }
-          // Column load for the IR-drop model: the fraction of this
-          // column's wordlines that actually inject current.
-          double column_load = 0.0;
-          if (config_.ir_drop_alpha > 0.0) {
-            std::int64_t active = 0;
-            for (std::int64_t r = 0; r < b.rows; ++r)
-              active += (sign[static_cast<std::size_t>(r)] != 0);
-            column_load = static_cast<double>(active) /
-                          static_cast<double>(b.rows);
-          }
-          // Every (polarity, slice, cycle) analog sum first, then the
-          // conversions and the shift-and-add in the same order — keeping
-          // the inlined ADC out of the row scan keeps the scan's loop
-          // state in registers.
-          std::vector<double> sums;
-          sums.reserve(static_cast<std::size_t>(2 * slices * cycles));
-          for (int polarity : {+1, -1}) {
-            for (int s = 0; s < slices; ++s) {
-              for (int t = 0; t < cycles; ++t) {
-                double analog = 0.0;
-                const auto& ch = chunk[static_cast<std::size_t>(t)];
-                for (std::int64_t r = 0; r < b.rows; ++r) {
-                  if (sign[static_cast<std::size_t>(r)] != polarity) continue;
-                  const std::int32_t level =
-                      sliced[static_cast<std::size_t>(r * slices + s)];
-                  if (level == 0) continue;
-                  const std::int64_t orig_r = layer_.kept_rows[
-                      static_cast<std::size_t>(b.row0 + r)];
-                  double contrib = static_cast<double>(level) *
-                                   ch[static_cast<std::size_t>(orig_r)];
-                  if (var != nullptr)
-                    contrib *= var[static_cast<std::size_t>(
-                        (r * b.cols + c) * slices + s)];
-                  if (config_.ir_drop_alpha > 0.0) {
-                    const double depth = static_cast<double>(r + 1) /
-                                         static_cast<double>(b.rows);
-                    contrib /=
-                        1.0 + config_.ir_drop_alpha * depth * column_load;
-                  }
-                  analog += contrib;
-                }
-                sums.push_back(analog);
-              }
-            }
-          }
-          std::int64_t acc = 0;
-          auto sum = sums.begin();
-          for (int polarity : {+1, -1})
-            for (int s = 0; s < slices; ++s)
-              for (int t = 0; t < cycles; ++t)
-                acc += polarity * (adc_.convert(*sum++, pc)
-                                   << (s * cfg.cell_bits + t * cfg.dac_bits));
-          pair_acc[static_cast<std::size_t>(pi)] = acc;
-        }
-      });
-
-  std::fill(y, y + layer_.cols, 0);
-  for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
-    const auto [bi, c] = pairs[pi];
-    const auto& b = layer_.blocks[bi];
-    y[layer_.kept_cols[static_cast<std::size_t>(b.col0 + c)]] += pair_acc[pi];
-    counters.conversions += pair_counters[pi].conversions;
-    counters.clip_events += pair_counters[pi].clip_events;
-  }
-}
-
 bool AnalogLayerSim::batch_serial(std::int64_t batch) const {
   // A batch of tiny plans is still tiny work overall, and each sample's
   // pair sweep already runs inline, so fan out only when the whole batch
-  // clears the plan-work threshold. Dense
-  // (use_plan == false) batches have no plan estimate and always fan out —
-  // the dense scan is O(rows·cols) per sample and dwarfs the dispatch cost.
-  return config_.use_plan && batch * plan_work_ < kMinParallelPlanWork;
+  // clears the plan-work threshold.
+  return batch * plan_work_ < kMinParallelPlanWork;
 }
 
 bool AnalogLayerSim::fused_batch_path() const {
-  return config_.use_plan && exec_path_ == ExecPath::kFused;
+  return exec_path_ == ExecPath::kFused;
 }
 
 template <typename Fill, typename Emit>
@@ -899,18 +762,13 @@ void AnalogLayerSim::sample_batch(std::int64_t batch, int phases,
   const auto run_samples = [&](std::int64_t s0, std::int64_t s1) {
     std::vector<std::int32_t> codes(np * n);
     std::vector<std::int64_t> y(np * cols);
-    SampleScratch scratch;
-    if (config_.use_plan) scratch = make_sample_scratch();
+    SampleScratch scratch = make_sample_scratch();
     AdcCounters local;
     for (std::int64_t s = s0; s < s1; ++s) {
       fill(s, 1, codes.data(), np > 1 ? codes.data() + n : nullptr);
-      for (std::size_t p = 0; p < np; ++p) {
-        if (config_.use_plan)
-          packed_sample(codes.data() + p * n, scratch, y.data() + p * cols,
-                        local);
-        else
-          dense_sample(codes.data() + p * n, y.data() + p * cols, local);
-      }
+      for (std::size_t p = 0; p < np; ++p)
+        packed_sample(codes.data() + p * n, scratch, y.data() + p * cols,
+                      local);
       emit(s, 1, y.data(), np > 1 ? y.data() + cols : nullptr);
     }
     std::lock_guard<std::mutex> lk(counters_mu);
@@ -1133,7 +991,7 @@ AnalogLayerSim::AnalogLayerSim(const xbar::MappedLayer& layer,
   check_accumulator_headroom();
   // Path resolution is recomputed from the loaded streams — never a plan
   // compilation.
-  if (config_.use_plan) finalize_plan();
+  finalize_plan();
 }
 
 void AnalogLayerSim::serialize(artifact::SectionWriter& w) const {
@@ -1141,11 +999,9 @@ void AnalogLayerSim::serialize(artifact::SectionWriter& w) const {
   w.pod(static_cast<std::uint8_t>(plan_ideal_ ? 1 : 0));
   w.pod(static_cast<std::uint64_t>(variation_.size()));
   for (const auto& v : variation_) w.vec(v);
-  w.pod(static_cast<std::uint8_t>(config_.use_plan ? 1 : 0));
-  if (!config_.use_plan) return;
-  // v3 payload: the canonical SoA streams as 64-byte-aligned arrays
-  // (vec_aligned), so a mapped load can hand the executors read-only spans
-  // over the file instead of copies.
+  // The canonical SoA streams as 64-byte-aligned arrays (vec_aligned), so a
+  // mapped load can hand the executors read-only spans over the file
+  // instead of copies.
   w.pod(static_cast<std::uint64_t>(soa_out_.size()));
   w.vec_aligned(soa_out_);
   w.vec_aligned(soa_seg_);
@@ -1158,7 +1014,7 @@ void AnalogLayerSim::serialize(artifact::SectionWriter& w) const {
 
 std::unique_ptr<AnalogLayerSim> AnalogLayerSim::deserialize(
     const xbar::MappedLayer& layer, MsimConfig config,
-    artifact::SectionReader& r, std::uint32_t version) {
+    artifact::SectionReader& r) {
   const auto& cfg = layer.config;
   const int slices = cfg.slices();
   RestoredState s;
@@ -1197,277 +1053,120 @@ std::unique_ptr<AnalogLayerSim> AnalogLayerSim::deserialize(
     s.variation.push_back(std::move(v));
   }
 
-  const bool has_plan = r.pod<std::uint8_t>() != 0;
-  TINYADC_CHECK(has_plan == config.use_plan,
+  TINYADC_CHECK(s.plan_ideal == plan_ideal_for(layer, config, nvar > 0),
                 "layer " << layer.name
-                         << ": artifact plan presence disagrees with "
-                            "MsimConfig::use_plan");
-  if (has_plan) {
-    TINYADC_CHECK(s.plan_ideal ==
-                      plan_ideal_for(layer, config, nvar > 0),
-                  "layer " << layer.name
-                           << ": stored ideal-path flag disagrees with the "
-                              "configuration");
-    std::size_t npairs_expected = 0;
-    for (const auto& b : layer.blocks)
-      npairs_expected += static_cast<std::size_t>(b.cols);
-    const auto npairs = r.pod<std::uint64_t>();
-    TINYADC_CHECK(npairs == npairs_expected,
-                  "layer " << layer.name << ": plan has " << npairs
-                           << " conversion pairs, mapping needs "
-                           << npairs_expected);
-    if (version >= 3) {
-      // --- v3: 64-byte-aligned SoA streams. On a mapped artifact these
-      // come back as borrowed spans over the file (zero-copy); on a copied
-      // load arr_aligned degrades to an owned copy. Either way the shared
-      // validation below re-checks every structural invariant — and, on a
-      // mapped load, doubles as the page-touch warm-up of the hot streams.
-      s.out = r.arr_aligned<std::int64_t>("plan outs");
-      s.seg = r.arr_aligned<std::uint64_t>("plan segment table");
-      s.row = r.arr_aligned<std::int32_t>("plan row stream");
-      s.mag = r.arr_aligned<std::int32_t>("plan magnitude stream");
-      s.level = r.arr_aligned<std::int32_t>("plan level stream");
-      s.var = r.arr_aligned<float>("plan variation stream");
-      s.denom = r.arr_aligned<double>("plan IR-divisor stream");
-    } else if (version == 2) {
-      // --- v2: the SoA streams as plain (unaligned) arrays; always copied.
-      std::vector<std::int64_t> out;
-      out.reserve(static_cast<std::size_t>(npairs));
-      for (std::uint64_t pi = 0; pi < npairs; ++pi)
-        out.push_back(r.pod<std::int64_t>());
-      s.out = std::move(out);
-      const auto nseg = r.pod<std::uint64_t>();
-      TINYADC_CHECK(nseg == 2 * npairs + 1,
-                    "layer " << layer.name << ": plan segment table holds "
-                             << nseg << " offsets, expected "
-                             << 2 * npairs + 1);
-      std::vector<std::uint64_t> seg;
-      seg.reserve(static_cast<std::size_t>(nseg));
-      for (std::uint64_t i = 0; i < nseg; ++i)
-        seg.push_back(r.pod<std::uint64_t>());
-      s.seg = std::move(seg);
-      s.row = r.vec<std::int32_t>();
-      s.mag = r.vec<std::int32_t>();
-      s.level = r.vec<std::int32_t>();
-      s.var = r.vec<float>();
-      s.denom = r.vec<double>();
-    } else {
-      // --- v1: the PR-3 AoS entry arrays; validate exactly as the v1
-      // reader did, then merge each (pair, polarity)'s slice planes into
-      // one SoA segment. Rows within a plane ascend, so the union of a
-      // polarity's planes (every |q| ≥ 1 weight appears in ≥ 1 plane)
-      // sorts back into the dense scan order. -----------------------------
-      const std::size_t planes_per_pair =
-          2 * static_cast<std::size_t>(slices);
-      // Each pair stores its output column and its first plane slot,
-      // which must be pi·planes_per_pair (planes are contiguous).
-      std::vector<std::int64_t> pair_out;
-      pair_out.reserve(static_cast<std::size_t>(npairs));
-      for (std::uint64_t pi = 0; pi < npairs; ++pi) {
-        const auto out = r.pod<std::int64_t>();
-        const auto plane0 = r.pod<std::uint64_t>();
-        TINYADC_CHECK(out >= 0 && out < layer.cols,
-                      "layer " << layer.name << ": plan pair " << pi
-                               << " targets output column " << out);
-        TINYADC_CHECK(plane0 == pi * planes_per_pair,
-                      "layer " << layer.name << ": plan pair " << pi
-                               << " has corrupt plane offset");
-        pair_out.push_back(out);
-      }
-      const auto noffsets = r.pod<std::uint64_t>();
-      TINYADC_CHECK(noffsets == npairs * planes_per_pair + 1,
-                    "layer " << layer.name << ": plan offset table holds "
-                             << noffsets << " entries, expected "
-                             << npairs * planes_per_pair + 1);
-      std::vector<std::size_t> offsets;
-      offsets.reserve(static_cast<std::size_t>(noffsets));
-      for (std::uint64_t i = 0; i < noffsets; ++i) {
-        const auto off = r.pod<std::uint64_t>();
-        TINYADC_CHECK((i == 0 && off == 0) ||
-                          (i > 0 && off >= offsets.back()),
-                      "layer " << layer.name
-                               << ": plan offsets are not monotone");
-        offsets.push_back(static_cast<std::size_t>(off));
-      }
-      const auto x = r.vec<std::int32_t>();
-      const auto level = r.vec<std::int32_t>();
-      const auto var = r.vec<float>();
-      const auto denom = r.vec<double>();
-      const std::size_t entries = offsets.back();
-      TINYADC_CHECK(x.size() == entries && level.size() == entries &&
-                        var.size() == entries && denom.size() == entries,
-                    "layer " << layer.name
-                             << ": plan entry arrays disagree with the "
-                                "offset table (" << entries << " entries)");
-      const std::int32_t max_level = (1 << cfg.cell_bits) - 1;
-      for (std::size_t e = 0; e < entries; ++e) {
-        TINYADC_CHECK(x[e] >= 0 &&
-                          static_cast<std::int64_t>(x[e]) < layer.rows,
-                      "layer " << layer.name << ": plan entry " << e
-                               << " reads activation row " << x[e]);
-        TINYADC_CHECK(level[e] > 0 && level[e] <= max_level,
-                      "layer " << layer.name << ": plan entry " << e
-                               << " holds cell level " << level[e]);
-        TINYADC_CHECK(std::isfinite(var[e]) && var[e] > 0.0F &&
-                          std::isfinite(denom[e]) && denom[e] >= 1.0,
-                      "layer " << layer.name << ": plan entry " << e
-                               << " holds implausible analog factors");
-      }
+                         << ": stored ideal-path flag disagrees with the "
+                            "configuration");
+  std::size_t npairs_expected = 0;
+  for (const auto& b : layer.blocks)
+    npairs_expected += static_cast<std::size_t>(b.cols);
+  const auto npairs = r.pod<std::uint64_t>();
+  TINYADC_CHECK(npairs == npairs_expected,
+                "layer " << layer.name << ": plan has " << npairs
+                         << " conversion pairs, mapping needs "
+                         << npairs_expected);
+  // 64-byte-aligned SoA streams. On a mapped artifact these come back as
+  // borrowed spans over the file (zero-copy); on a copied load arr_aligned
+  // degrades to an owned copy. Either way the validation below re-checks
+  // every structural invariant — and, on a mapped load, doubles as the
+  // page-touch warm-up of the hot streams.
+  s.out = r.arr_aligned<std::int64_t>("plan outs");
+  s.seg = r.arr_aligned<std::uint64_t>("plan segment table");
+  s.row = r.arr_aligned<std::int32_t>("plan row stream");
+  s.mag = r.arr_aligned<std::int32_t>("plan magnitude stream");
+  s.level = r.arr_aligned<std::int32_t>("plan level stream");
+  s.var = r.arr_aligned<float>("plan variation stream");
+  s.denom = r.arr_aligned<double>("plan IR-divisor stream");
 
-      // AoS → SoA conversion (into owned vectors; the ArrayRef members
-      // adopt them below).
-      std::vector<std::int64_t> c_out;
-      std::vector<std::uint64_t> c_seg;
-      std::vector<std::int32_t> c_row, c_mag, c_level;
-      std::vector<float> c_var;
-      std::vector<double> c_denom;
-      c_seg.push_back(0);
-      std::vector<std::int32_t> seg_rows;
-      for (std::uint64_t pi = 0; pi < npairs; ++pi) {
-        c_out.push_back(pair_out[static_cast<std::size_t>(pi)]);
-        const std::size_t plane0 =
-            static_cast<std::size_t>(pi) * planes_per_pair;
-        for (int pol = 0; pol < 2; ++pol) {
-          const std::size_t sp0 =
-              plane0 + static_cast<std::size_t>(pol) *
-                           static_cast<std::size_t>(slices);
-          seg_rows.clear();
-          for (int sl = 0; sl < slices; ++sl)
-            for (std::size_t e = offsets[sp0 + static_cast<std::size_t>(sl)];
-                 e < offsets[sp0 + static_cast<std::size_t>(sl) + 1]; ++e)
-              seg_rows.push_back(x[e]);
-          std::sort(seg_rows.begin(), seg_rows.end());
-          seg_rows.erase(std::unique(seg_rows.begin(), seg_rows.end()),
-                         seg_rows.end());
-          const std::size_t len = seg_rows.size();
-          const std::size_t slot0 = c_row.size();
-          for (const std::int32_t row : seg_rows) {
-            c_row.push_back(row);
-            c_mag.push_back(0);
-            c_denom.push_back(1.0);
-          }
-          c_level.resize(c_level.size() +
-                             len * static_cast<std::size_t>(slices),
-                         0);
-          c_var.resize(c_var.size() + len * static_cast<std::size_t>(slices),
-                       1.0F);
-          const std::size_t lbase = slot0 * static_cast<std::size_t>(slices);
-          for (int sl = 0; sl < slices; ++sl) {
-            for (std::size_t e = offsets[sp0 + static_cast<std::size_t>(sl)];
-                 e < offsets[sp0 + static_cast<std::size_t>(sl) + 1]; ++e) {
-              const auto it = std::lower_bound(seg_rows.begin(),
-                                               seg_rows.end(), x[e]);
-              const auto li = static_cast<std::size_t>(
-                  it - seg_rows.begin());
-              c_level[lbase + static_cast<std::size_t>(sl) * len + li] =
-                  level[e];
-              c_var[lbase + static_cast<std::size_t>(sl) * len + li] = var[e];
-              c_mag[slot0 + li] += level[e] << (sl * cfg.cell_bits);
-              c_denom[slot0 + li] = denom[e];
-            }
-          }
-          c_seg.push_back(c_row.size());
-        }
-      }
-      s.out = std::move(c_out);
-      s.seg = std::move(c_seg);
-      s.row = std::move(c_row);
-      s.mag = std::move(c_mag);
-      s.level = std::move(c_level);
-      s.var = std::move(c_var);
-      s.denom = std::move(c_denom);
-    }
-
-    // --- Shared structural validation over the restored streams, for
-    // every payload version (v3 spans, v2 copies, v1 conversions alike).
-    // Anything inconsistent with the mapping is a CheckError, never UB.
-    TINYADC_CHECK(s.out.size() == npairs,
-                  "layer " << layer.name << ": plan out table holds "
-                           << s.out.size() << " pairs, expected " << npairs);
-    for (std::size_t pi = 0; pi < s.out.size(); ++pi)
-      TINYADC_CHECK(s.out[pi] >= 0 && s.out[pi] < layer.cols,
-                    "layer " << layer.name << ": plan pair " << pi
-                             << " targets output column " << s.out[pi]);
-    TINYADC_CHECK(s.seg.size() == 2 * npairs + 1,
-                  "layer " << layer.name << ": plan segment table holds "
-                           << s.seg.size() << " offsets, expected "
-                           << 2 * npairs + 1);
-    TINYADC_CHECK(s.seg[0] == 0,
+  // --- Structural validation over the restored streams (mapped spans and
+  // copies alike). Anything inconsistent with the mapping is a CheckError,
+  // never UB.
+  TINYADC_CHECK(s.out.size() == npairs,
+                "layer " << layer.name << ": plan out table holds "
+                         << s.out.size() << " pairs, expected " << npairs);
+  for (std::size_t pi = 0; pi < s.out.size(); ++pi)
+    TINYADC_CHECK(s.out[pi] >= 0 && s.out[pi] < layer.cols,
+                  "layer " << layer.name << ": plan pair " << pi
+                           << " targets output column " << s.out[pi]);
+  TINYADC_CHECK(s.seg.size() == 2 * npairs + 1,
+                "layer " << layer.name << ": plan segment table holds "
+                         << s.seg.size() << " offsets, expected "
+                         << 2 * npairs + 1);
+  TINYADC_CHECK(s.seg[0] == 0,
+                "layer " << layer.name
+                         << ": plan segment table does not start at 0");
+  for (std::size_t i = 1; i < s.seg.size(); ++i)
+    TINYADC_CHECK(s.seg[i] >= s.seg[i - 1],
                   "layer " << layer.name
-                           << ": plan segment table does not start at 0");
-    for (std::size_t i = 1; i < s.seg.size(); ++i)
-      TINYADC_CHECK(s.seg[i] >= s.seg[i - 1],
+                           << ": plan segments are not monotone");
+  const auto slots = static_cast<std::size_t>(s.seg[s.seg.size() - 1]);
+  TINYADC_CHECK(
+      s.row.size() == slots && s.mag.size() == slots &&
+          s.denom.size() == slots &&
+          s.level.size() == slots * static_cast<std::size_t>(slices) &&
+          s.var.size() == slots * static_cast<std::size_t>(slices),
+      "layer " << layer.name
+               << ": plan stream lengths disagree with the segment "
+                  "table (" << slots << " row slots)");
+  const std::int32_t max_level = (1 << cfg.cell_bits) - 1;
+  const std::int32_t max_mag =
+      static_cast<std::int32_t>(
+          (std::int64_t{1} << (slices * cfg.cell_bits)) - 1);
+  for (std::size_t k = 0; k + 1 < s.seg.size(); ++k) {
+    const auto i0 = static_cast<std::size_t>(s.seg[k]);
+    const auto i1 = static_cast<std::size_t>(s.seg[k + 1]);
+    const std::size_t len = i1 - i0;
+    const std::size_t lbase = i0 * static_cast<std::size_t>(slices);
+    for (std::size_t i = 0; i < len; ++i) {
+      const std::int32_t row = s.row[i0 + i];
+      TINYADC_CHECK(row >= 0 && static_cast<std::int64_t>(row) <
+                                    layer.rows,
+                    "layer " << layer.name << ": plan slot reads "
+                             << "activation row " << row);
+      TINYADC_CHECK(i == 0 || s.row[i0 + i - 1] < row,
                     "layer " << layer.name
-                             << ": plan segments are not monotone");
-    const auto slots = static_cast<std::size_t>(s.seg[s.seg.size() - 1]);
-    TINYADC_CHECK(
-        s.row.size() == slots && s.mag.size() == slots &&
-            s.denom.size() == slots &&
-            s.level.size() == slots * static_cast<std::size_t>(slices) &&
-            s.var.size() == slots * static_cast<std::size_t>(slices),
-        "layer " << layer.name
-                 << ": plan stream lengths disagree with the segment "
-                    "table (" << slots << " row slots)");
-    const std::int32_t max_level = (1 << cfg.cell_bits) - 1;
-    const std::int32_t max_mag =
-        static_cast<std::int32_t>(
-            (std::int64_t{1} << (slices * cfg.cell_bits)) - 1);
-    for (std::size_t k = 0; k + 1 < s.seg.size(); ++k) {
-      const auto i0 = static_cast<std::size_t>(s.seg[k]);
-      const auto i1 = static_cast<std::size_t>(s.seg[k + 1]);
-      const std::size_t len = i1 - i0;
-      const std::size_t lbase = i0 * static_cast<std::size_t>(slices);
-      for (std::size_t i = 0; i < len; ++i) {
-        const std::int32_t row = s.row[i0 + i];
-        TINYADC_CHECK(row >= 0 && static_cast<std::int64_t>(row) <
-                                      layer.rows,
-                      "layer " << layer.name << ": plan slot reads "
-                               << "activation row " << row);
-        TINYADC_CHECK(i == 0 || s.row[i0 + i - 1] < row,
+                             << ": plan segment rows are not ascending");
+      const std::int32_t mag = s.mag[i0 + i];
+      TINYADC_CHECK(mag > 0 && mag <= max_mag,
+                    "layer " << layer.name
+                             << ": plan slot holds magnitude " << mag);
+      std::int32_t recomposed = 0;
+      for (int sl = 0; sl < slices; ++sl) {
+        const std::int32_t level =
+            s.level[lbase + static_cast<std::size_t>(sl) * len + i];
+        TINYADC_CHECK(level >= 0 && level <= max_level,
                       "layer " << layer.name
-                               << ": plan segment rows are not ascending");
-        const std::int32_t mag = s.mag[i0 + i];
-        TINYADC_CHECK(mag > 0 && mag <= max_mag,
+                               << ": plan slot holds cell level "
+                               << level);
+        const float vf =
+            s.var[lbase + static_cast<std::size_t>(sl) * len + i];
+        TINYADC_CHECK(std::isfinite(vf) && vf > 0.0F,
                       "layer " << layer.name
-                               << ": plan slot holds magnitude " << mag);
-        std::int32_t recomposed = 0;
-        for (int sl = 0; sl < slices; ++sl) {
-          const std::int32_t level =
-              s.level[lbase + static_cast<std::size_t>(sl) * len + i];
-          TINYADC_CHECK(level >= 0 && level <= max_level,
-                        "layer " << layer.name
-                                 << ": plan slot holds cell level "
-                                 << level);
-          const float vf =
-              s.var[lbase + static_cast<std::size_t>(sl) * len + i];
-          TINYADC_CHECK(std::isfinite(vf) && vf > 0.0F,
-                        "layer " << layer.name
-                                 << ": non-finite plan variation factor");
-          // build_plan stores exactly 1.0 without variation. An ideal plan
-          // that may clip runs the general lanes, which multiply by it.
-          TINYADC_CHECK(nvar > 0 || vf == 1.0F,
-                        "layer " << layer.name << ": plan variation factor "
-                                 << vf << " on a layer without variation");
-          recomposed += level << (sl * cfg.cell_bits);
-        }
-        TINYADC_CHECK(recomposed == mag,
-                      "layer " << layer.name
-                               << ": plan slot slices recompose to "
-                               << recomposed << ", magnitude says " << mag);
-        // The compiler writes 1 + α·depth·load ≥ 1. A divisor below 1
-        // could make the general path's w = level·var/denom infinite, and
-        // 0·inf = NaN would break its +0.0 identity (DESIGN.md §12).
-        TINYADC_CHECK(std::isfinite(s.denom[i0 + i]) &&
-                          s.denom[i0 + i] >= 1.0,
-                      "layer " << layer.name
-                               << ": plan IR divisor "
-                               << s.denom[i0 + i] << " is not a finite "
-                                  "value >= 1");
-        TINYADC_CHECK(config.ir_drop_alpha > 0.0 || s.denom[i0 + i] == 1.0,
-                      "layer " << layer.name << ": plan IR divisor "
-                               << s.denom[i0 + i]
-                               << " on a layer without IR drop");
+                               << ": non-finite plan variation factor");
+        // build_plan stores exactly 1.0 without variation. An ideal plan
+        // that may clip runs the general lanes, which multiply by it.
+        TINYADC_CHECK(nvar > 0 || vf == 1.0F,
+                      "layer " << layer.name << ": plan variation factor "
+                               << vf << " on a layer without variation");
+        recomposed += level << (sl * cfg.cell_bits);
       }
+      TINYADC_CHECK(recomposed == mag,
+                    "layer " << layer.name
+                             << ": plan slot slices recompose to "
+                             << recomposed << ", magnitude says " << mag);
+      // The compiler writes 1 + α·depth·load ≥ 1. A divisor below 1
+      // could make the general path's w = level·var/denom infinite, and
+      // 0·inf = NaN would break its +0.0 identity (DESIGN.md §12).
+      TINYADC_CHECK(std::isfinite(s.denom[i0 + i]) &&
+                        s.denom[i0 + i] >= 1.0,
+                    "layer " << layer.name
+                             << ": plan IR divisor "
+                             << s.denom[i0 + i] << " is not a finite "
+                                "value >= 1");
+      TINYADC_CHECK(config.ir_drop_alpha > 0.0 || s.denom[i0 + i] == 1.0,
+                    "layer " << layer.name << ": plan IR divisor "
+                             << s.denom[i0 + i]
+                             << " on a layer without IR drop");
     }
   }
   return std::unique_ptr<AnalogLayerSim>(

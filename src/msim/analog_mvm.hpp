@@ -64,7 +64,9 @@
 //             Adc::convert reduces to the integer saturation.
 //
 // Both paths are bit-identical — outputs AND ADC counters — to the dense
-// reference, at every thread count.
+// row-scan model of the same datapath, at every thread count. That model
+// is the test oracle; it lives in the tinyadc_reference target
+// (src/reference/dense_sim.hpp), which only tests and benches link.
 #pragma once
 
 #include <cstdint>
@@ -97,21 +99,12 @@ struct MsimConfig {
   /// on top of the ADC saving.
   double ir_drop_alpha = 0.0;
   std::uint64_t seed = 99;       ///< variation draw seed
-  /// Execute through the sparsity-packed per-column plan built at
-  /// construction (O(l) work per column, l = active rows). `false` keeps
-  /// the legacy dense row scan (O(r) per column) — the golden reference the
-  /// packed plan is verified against bit-for-bit (outputs *and* ADC
-  /// counters) by tests/msim_plan_test.cpp.
-  bool use_plan = true;
 };
 
-/// Artifact (de)serialization of the simulation knobs. `version` is the
-/// PLANS-section payload version: v2 and later carry a kernel byte that
-/// once selected a plan executor; the writer stores 0, and the reader
-/// range-checks the byte and otherwise ignores it.
+/// Artifact (de)serialization of the simulation knobs (the PLANS section's
+/// config header).
 void serialize(const MsimConfig& config, artifact::SectionWriter& w);
-MsimConfig deserialize_msim_config(artifact::SectionReader& r,
-                                   std::uint32_t version);
+MsimConfig deserialize_msim_config(artifact::SectionReader& r);
 
 /// Aggregate statistics from a simulation run.
 struct MsimStats {
@@ -123,11 +116,11 @@ struct MsimStats {
 /// Simulates one mapped layer's analog MVM datapath.
 ///
 /// Construction snapshots the layer into a sparsity-packed execution plan
-/// (see MsimConfig::use_plan), so the mapped layer must not be mutated for
-/// the lifetime of the sim. Construction also verifies that the largest
-/// shifted ADC code the shift-and-add stage can produce fits the int64
-/// accumulator (throws CheckError on overflow-prone configurations instead
-/// of silently wrapping).
+/// (O(l) work per column, l = active rows), so the mapped layer must not
+/// be mutated for the lifetime of the sim. Construction also verifies that
+/// the largest shifted ADC code the shift-and-add stage can produce fits
+/// the int64 accumulator (throws CheckError on overflow-prone
+/// configurations instead of silently wrapping).
 class AnalogLayerSim {
  public:
   AnalogLayerSim(const xbar::MappedLayer& layer, MsimConfig config);
@@ -142,12 +135,9 @@ class AnalogLayerSim {
   /// invokes the plan compiler (build_plan) or redraws variation: the
   /// restored sim executes exactly the serialized operands, and every
   /// structural invariant of the plan is re-validated against `layer`.
-  /// `version` selects the PLANS payload layout: v1 payloads carry the
-  /// PR-3 AoS entry arrays and are converted to the SoA streams in place;
-  /// v2 payloads carry the SoA streams directly.
   static std::unique_ptr<AnalogLayerSim> deserialize(
       const xbar::MappedLayer& layer, MsimConfig config,
-      artifact::SectionReader& r, std::uint32_t version);
+      artifact::SectionReader& r);
 
   /// Process-wide count of plan compilations (build_plan runs). Lets tests
   /// and benches prove that artifact loading touches no compilation path.
@@ -203,6 +193,12 @@ class AnalogLayerSim {
 
   /// The ADC resolution in use.
   int adc_bits() const { return adc_.bits(); }
+  /// The programmed chip's per-cell variation factors, one vector per
+  /// crossbar block laid out [r * cols * slices + c * slices + s]; empty
+  /// without variation. Lets a reference model replay the same draws.
+  const std::vector<std::vector<float>>& variation() const {
+    return variation_;
+  }
   /// Statistics accumulated over all mvm() calls. Unsynchronized view —
   /// only read while no mvm() is in flight.
   const MsimStats& stats() const { return stats_; }
@@ -224,11 +220,10 @@ class AnalogLayerSim {
 
   // Execution state restored from an artifact (see deserialize()): the
   // canonical SoA streams, exactly as finalize_plan() documents them. The
-  // stream arrays are ArrayRefs: a v3 payload read from a mapped artifact
+  // stream arrays are ArrayRefs: a payload read from a mapped artifact
   // restores them as borrowed spans over the mapping (zero-copy — the
   // SectionReader's keeper holds the MappedFile alive), while copied loads
-  // and pre-v3 payloads restore owned vectors. Either way the executors see
-  // the same bytes.
+  // restore owned vectors. Either way the executors see the same bytes.
   struct RestoredState {
     int adc_bits = 0;
     bool plan_ideal = false;
@@ -295,22 +290,20 @@ class AnalogLayerSim {
                    const Emit& emit);
   // The non-fused batch: each worker range owns one code buffer, one
   // column-sum buffer and one SampleScratch, and runs its samples one at
-  // a time through the general path (or the dense scan). Each sample
-  // is a one-lane block of the fused_batch contract: fill(s, 1, pos, neg)
-  // writes its codes, emit(s, 1, y_pos, y_neg) takes its column sums.
-  // Counters merge once per call. Defined in analog_mvm.cpp.
+  // a time through the general path. Each sample is a one-lane block of
+  // the fused_batch contract: fill(s, 1, pos, neg) writes its codes,
+  // emit(s, 1, y_pos, y_neg) takes its column sums. Counters merge once
+  // per call. Defined in analog_mvm.cpp.
   template <typename Fill, typename Emit>
   void sample_batch(std::int64_t batch, int phases, const Fill& fill,
                     const Emit& emit);
 
-  // One sample through the packed plan or the dense scan: validates the
-  // codes at `x`, writes the layer_cols column sums to `y` and adds the
-  // ADC counters to `counters` (the caller merges the statistics). A big
-  // plan outside a parallel region fans its pairs out over the pool.
+  // One sample through the packed plan: validates the codes at `x`, writes
+  // the layer_cols column sums to `y` and adds the ADC counters to
+  // `counters` (the caller merges the statistics). A big plan outside a
+  // parallel region fans its pairs out over the pool.
   void packed_sample(const std::int32_t* x, SampleScratch& scratch,
                      std::int64_t* y, AdcCounters& counters) const;
-  void dense_sample(const std::int32_t* x, std::int64_t* y,
-                    AdcCounters& counters) const;
   // Validates that one sample's codes fit the layer's input_bits.
   void check_codes(const std::int32_t* x) const;
   void merge_stats(const AdcCounters& counters, std::int64_t dac_cycles);
@@ -322,7 +315,7 @@ class AnalogLayerSim {
   // slices, laid out [block][r * cols * slices + c * slices + s].
   std::vector<std::vector<float>> variation_;
 
-  // --- Canonical SoA execution plan (built when config_.use_plan) ---------
+  // --- Canonical SoA execution plan -------------------------------------
   // For every (block, logical column) conversion pair pi and polarity pol,
   // segment k = 2·pi + pol holds that plane-group's active rows in
   // ascending order: soa_seg_ is the CSR offset table over the row slots,
@@ -334,7 +327,7 @@ class AnalogLayerSim {
   // rectangle is bit-safe (a zero level's term is +0.0, see the file
   // header) and lets every slice of a segment stream contiguously.
   // The streams are ArrayRefs (artifact/array_ref.hpp): plan compilation
-  // produces owned vectors, while a mapped v3 artifact load restores them
+  // produces owned vectors, while a mapped artifact load restores them
   // as read-only spans over the file mapping (zero-copy; the ArrayRef's
   // keeper pins the MappedFile). Executors only read, so both storage
   // modes run the same inner loops on the same bytes.

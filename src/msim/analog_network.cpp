@@ -14,13 +14,11 @@ namespace tinyadc::msim {
 
 namespace {
 
-// v1 plan payloads carry the original AoS entry arrays; v2 carries the SoA
-// streams plus a kernel byte in the config header (written as 0, ignored on
-// load); v3 carries the same streams as 64-byte-aligned arrays so a mapped
-// load can execute them in place (zero-copy). Readers accept all three —
-// v1 converts, v2 copies — and writers always emit v3.
-constexpr std::uint32_t kPlansSectionVersion = 3;
-constexpr std::uint32_t kMinPlansSectionVersion = 1;
+// The one plans payload this build reads and writes: the MsimConfig header,
+// then per layer the ADC width, the ideal-path flag, the variation draws and
+// the SoA plan streams as 64-byte-aligned arrays, so a mapped load executes
+// them in place (zero-copy).
+constexpr std::uint32_t kPlansSectionVersion = 4;
 constexpr std::uint32_t kCalibSectionVersion = 1;
 
 std::atomic<std::int64_t> g_calibration_runs{0};
@@ -79,10 +77,13 @@ AnalogNetwork::AnalogNetwork(nn::Model& model, const xbar::MappedNetwork& net,
 
   // --- Compiled plans section: shared config + one sim per layer. ---------
   const auto plans_version = plans.pod<std::uint32_t>();
-  TINYADC_CHECK(plans_version >= kMinPlansSectionVersion &&
-                    plans_version <= kPlansSectionVersion,
-                "unsupported plans-section version " << plans_version);
-  config_ = deserialize_msim_config(plans, plans_version);
+  TINYADC_CHECK(plans_version == kPlansSectionVersion,
+                "unsupported PLANS section version "
+                    << plans_version << " (this build reads only v"
+                    << kPlansSectionVersion
+                    << "); regenerate the artifact with this build "
+                       "(prune/map --save-artifact)");
+  config_ = deserialize_msim_config(plans);
   const auto nsims = plans.pod<std::uint64_t>();
   TINYADC_CHECK(nsims == views.size(),
                 "artifact holds " << nsims << " compiled layers, model has "
@@ -97,8 +98,8 @@ AnalogNetwork::AnalogNetwork(nn::Model& model, const xbar::MappedNetwork& net,
                   "layer shape mismatch on " << views[i].layer_name);
     MsimConfig layer_cfg = config_;
     layer_cfg.seed = config_.seed + i * 131;  // mirrors the compile-time draw
-    sims_.push_back(AnalogLayerSim::deserialize(net_.layers[i], layer_cfg,
-                                                plans, plans_version));
+    sims_.push_back(
+        AnalogLayerSim::deserialize(net_.layers[i], layer_cfg, plans));
   }
   TINYADC_CHECK(plans.remaining() == 0,
                 "trailing bytes after the compiled plans");

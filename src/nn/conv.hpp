@@ -22,7 +22,7 @@ namespace tinyadc::nn {
 ///    are globally aligned; im2col/col2im writes are disjoint).
 ///  * **reference**: the original per-sample loop, retained as the golden
 ///    path for gradient checks and the bench before/after pairs
-///    (set_batched(false) — mirrors MsimConfig::use_plan).
+///    (set_batched(false)).
 ///  * **hooked** (inference with an MvmHook installed, either setting of
 ///    set_batched): the whole batch is lowered once and offered to the
 ///    hook in a single call. If the hook declines, one GEMM over that

@@ -209,14 +209,9 @@ TEST(FaultEvaluate, PrunedModelToleratesSa0BetterThanDense) {
   EXPECT_GT(pruned_res.clean_accuracy, 0.5);
   // The pruned model's drop must not exceed the dense model's (it holds
   // far fewer SA0-vulnerable cells). The margin is statistical — 3 trials
-  // on a tiny model — and calibrated on the portable reference build;
-  // -march=native shifts the training floats enough to flip it, so the
-  // native job only checks the comparison stays in the same ballpark.
-#ifdef TINYADC_NATIVE
-  EXPECT_LE(pruned_res.accuracy_drop(), dense_res.accuracy_drop() + 0.15);
-#else
+  // on a tiny model. Every build computes the same floats (no FMA
+  // contraction, DESIGN.md §7), so one margin holds on all of them.
   EXPECT_LE(pruned_res.accuracy_drop(), dense_res.accuracy_drop() + 0.05);
-#endif
 }
 
 TEST(FaultEvaluate, RemappingNeverHurtsOnAverage) {

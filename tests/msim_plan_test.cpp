@@ -1,7 +1,8 @@
 // Sparsity-packed execution plans: the packed O(l)-per-column mvm path must
-// reproduce the legacy dense O(r) row scan bit for bit — outputs AND ADC
-// statistics — for every non-ideality combination, CP rate and thread
-// count. Plus the shift-and-add int64 overflow guard.
+// reproduce the dense O(r) row-scan model (reference::DenseSim, the test
+// oracle) bit for bit — outputs AND ADC statistics — for every
+// non-ideality combination, CP rate and thread count. Plus the
+// shift-and-add int64 overflow guard.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,11 +17,14 @@
 #include "msim/analog_mvm.hpp"
 #include "msim/analog_network.hpp"
 #include "nn/models.hpp"
+#include "reference/dense_sim.hpp"
 #include "runtime/parallel.hpp"
 #include "tensor/ops.hpp"
 
 namespace tinyadc::msim {
 namespace {
+
+using reference::DenseSim;
 
 /// A 256×32 matrix CP-projected to `keep` active rows per 128-row crossbar
 /// column (keep == 128 leaves the matrix dense). One column is zeroed
@@ -94,10 +98,8 @@ TEST_P(PlanExactness, PackedMatchesDenseBitForBit) {
   variants[3].variation_sigma = 0.1;
   variants[3].ir_drop_alpha = 0.3;
   for (MsimConfig cfg : variants) {
-    MsimConfig dense_cfg = cfg;
-    dense_cfg.use_plan = false;
     AnalogLayerSim packed(layer, cfg);
-    AnalogLayerSim dense(layer, dense_cfg);
+    DenseSim dense(layer, cfg, packed.variation());
     for (std::uint64_t seed : {7ULL, 8ULL}) {
       const auto x = random_codes(layer.rows, map_cfg.input_bits, seed);
       EXPECT_EQ(packed.mvm(x), dense.mvm(x))
@@ -121,10 +123,8 @@ TEST(PlanExactness, MultiBitDacMatchesDense) {
   xbar::MappingConfig map_cfg;
   map_cfg.dac_bits = 2;
   const auto layer = xbar::map_matrix(m, "l", map_cfg);
-  MsimConfig dense_cfg;
-  dense_cfg.use_plan = false;
   AnalogLayerSim packed(layer, {});
-  AnalogLayerSim dense(layer, dense_cfg);
+  DenseSim dense(layer, {}, packed.variation());
   const auto x = random_codes(layer.rows, map_cfg.input_bits, 11);
   EXPECT_EQ(packed.mvm(x), dense.mvm(x));
   EXPECT_EQ(packed.stats().adc_conversions, dense.stats().adc_conversions);
@@ -136,10 +136,8 @@ TEST(PlanExactness, UnderProvisionedAdcClipsIdentically) {
   const auto layer = xbar::map_matrix(m, "l", xbar::MappingConfig{});
   MsimConfig cfg;
   cfg.adc_bits_override = 2;
-  MsimConfig dense_cfg = cfg;
-  dense_cfg.use_plan = false;
   AnalogLayerSim packed(layer, cfg);
-  AnalogLayerSim dense(layer, dense_cfg);
+  DenseSim dense(layer, cfg, packed.variation());
   std::vector<std::int32_t> x(static_cast<std::size_t>(layer.rows), 255);
   EXPECT_EQ(packed.mvm(x), dense.mvm(x));
   EXPECT_GT(packed.stats().adc_clip_events, 0);
@@ -168,8 +166,7 @@ TEST(OverflowGuard, RejectsAccumulatorOverflow) {
 /// chunked: accuracy and the summed ADC counters of a calibrated
 /// AnalogNetwork are identical at batch sizes 1, 7 and 16 — per-sample
 /// analog MVMs and per-sample digital layers make each image's path
-/// independent of its batch neighbours. Checked for both the packed-plan
-/// and the legacy dense execution paths.
+/// independent of its batch neighbours.
 TEST(BatchInvariance, EvaluateIndependentOfBatchSize) {
   nn::ModelConfig mc;
   mc.num_classes = 4;
@@ -189,41 +186,35 @@ TEST(BatchInvariance, EvaluateIndependentOfBatchSize) {
   map_cfg.dims = {16, 16};
   const auto net = xbar::map_model(*model, map_cfg);
 
-  for (const bool use_plan : {true, false}) {
-    double ref_acc = 0.0;
-    MsimStats ref;
-    bool first = true;
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{7},
-                                    std::size_t{16}}) {
-      // Fresh sims (zero counters) with identical calibration per run.
-      MsimConfig cfg;
-      cfg.use_plan = use_plan;
-      AnalogNetwork analog(*model, net, cfg);
-      analog.calibrate(data.train, 8);
-      const double acc = analog.evaluate(data.test, batch);
-      MsimStats total;
-      for (const auto& sim : analog.sims()) {
-        const MsimStats s = sim->stats_snapshot();
-        total.adc_conversions += s.adc_conversions;
-        total.adc_clip_events += s.adc_clip_events;
-        total.dac_cycles += s.dac_cycles;
-      }
-      if (first) {
-        ref_acc = acc;
-        ref = total;
-        first = false;
-        EXPECT_GT(total.adc_conversions, 0);
-        EXPECT_GT(total.dac_cycles, 0);
-      } else {
-        EXPECT_DOUBLE_EQ(acc, ref_acc)
-            << "use_plan=" << use_plan << " batch=" << batch;
-        EXPECT_EQ(total.adc_conversions, ref.adc_conversions)
-            << "use_plan=" << use_plan << " batch=" << batch;
-        EXPECT_EQ(total.adc_clip_events, ref.adc_clip_events)
-            << "use_plan=" << use_plan << " batch=" << batch;
-        EXPECT_EQ(total.dac_cycles, ref.dac_cycles)
-            << "use_plan=" << use_plan << " batch=" << batch;
-      }
+  double ref_acc = 0.0;
+  MsimStats ref;
+  bool first = true;
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{16}}) {
+    // Fresh sims (zero counters) with identical calibration per run.
+    AnalogNetwork analog(*model, net, MsimConfig{});
+    analog.calibrate(data.train, 8);
+    const double acc = analog.evaluate(data.test, batch);
+    MsimStats total;
+    for (const auto& sim : analog.sims()) {
+      const MsimStats s = sim->stats_snapshot();
+      total.adc_conversions += s.adc_conversions;
+      total.adc_clip_events += s.adc_clip_events;
+      total.dac_cycles += s.dac_cycles;
+    }
+    if (first) {
+      ref_acc = acc;
+      ref = total;
+      first = false;
+      EXPECT_GT(total.adc_conversions, 0);
+      EXPECT_GT(total.dac_cycles, 0);
+    } else {
+      EXPECT_DOUBLE_EQ(acc, ref_acc) << "batch=" << batch;
+      EXPECT_EQ(total.adc_conversions, ref.adc_conversions)
+          << "batch=" << batch;
+      EXPECT_EQ(total.adc_clip_events, ref.adc_clip_events)
+          << "batch=" << batch;
+      EXPECT_EQ(total.dac_cycles, ref.dac_cycles) << "batch=" << batch;
     }
   }
 }
@@ -254,10 +245,8 @@ TEST_P(KernelEquivalence, EveryPathMatchesDenseBitForBit) {
   variants[3].ir_drop_alpha = 0.3;
   variants[4].adc_bits_override = 3;
   for (const MsimConfig& cfg : variants) {
-    MsimConfig dense_cfg = cfg;
-    dense_cfg.use_plan = false;
-    AnalogLayerSim dense(layer, dense_cfg);
     AnalogLayerSim sim(layer, cfg);
+    DenseSim dense(layer, cfg, sim.variation());
     const auto x = random_codes(layer.rows, map_cfg.input_bits, 21);
     const auto xr = relu_codes(layer.rows, map_cfg.input_bits, 22);
     for (const auto* in : {&x, &xr}) {
@@ -291,13 +280,11 @@ TEST(KernelEquivalence, MultiBitDacClippingMatchesDense) {
   const auto layer = xbar::map_matrix(m, "l", map_cfg);
   MsimConfig cfg;
   cfg.adc_bits_override = layer.required_adc_bits() - 2;
-  MsimConfig dense_cfg = cfg;
-  dense_cfg.use_plan = false;
   const auto x = random_codes(layer.rows, map_cfg.input_bits, 31);
   for (const int threads : {1, 4}) {
     runtime::set_thread_count(threads);
-    AnalogLayerSim dense(layer, dense_cfg);
     AnalogLayerSim sim(layer, cfg);
+    DenseSim dense(layer, cfg, sim.variation());
     EXPECT_EQ(sim.mvm(x), dense.mvm(x)) << "threads=" << threads;
     EXPECT_EQ(sim.stats().adc_conversions, dense.stats().adc_conversions);
     EXPECT_EQ(sim.stats().adc_clip_events, dense.stats().adc_clip_events);
@@ -315,15 +302,13 @@ TEST(KernelEquivalence, UnderProvisionedAdcClipsIdentically) {
   const auto layer = xbar::map_matrix(m, "l", xbar::MappingConfig{});
   MsimConfig cfg;
   cfg.adc_bits_override = 2;
-  MsimConfig dense_cfg = cfg;
-  dense_cfg.use_plan = false;
   std::vector<std::int32_t> x(static_cast<std::size_t>(layer.rows), 255);
   for (const int threads : {1, 4}) {
     runtime::set_thread_count(threads);
-    AnalogLayerSim dense(layer, dense_cfg);
+    AnalogLayerSim sim(layer, cfg);
+    DenseSim dense(layer, cfg, sim.variation());
     const auto y_ref = dense.mvm(x);
     EXPECT_GT(dense.stats().adc_clip_events, 0);
-    AnalogLayerSim sim(layer, cfg);
     EXPECT_EQ(sim.mvm(x), y_ref) << "threads=" << threads;
     EXPECT_EQ(sim.stats().adc_clip_events, dense.stats().adc_clip_events)
         << "threads=" << threads;
@@ -344,13 +329,11 @@ TEST(KernelEquivalence, ZeroBitAdcsDegenerateToZero) {
     const auto layer = xbar::map_matrix(*m, "l", xbar::MappingConfig{});
     MsimConfig cfg;
     if (m == &live) cfg.adc_bits_override = 0;
-    MsimConfig dense_cfg = cfg;
-    dense_cfg.use_plan = false;
     std::vector<std::int32_t> x(static_cast<std::size_t>(layer.rows), 200);
     for (const int threads : {1, 4}) {
       runtime::set_thread_count(threads);
       AnalogLayerSim sim(layer, cfg);
-      AnalogLayerSim dense(layer, dense_cfg);
+      DenseSim dense(layer, cfg, sim.variation());
       const auto y = sim.mvm(x);
       for (const auto v : y) EXPECT_EQ(v, 0);
       EXPECT_EQ(y, dense.mvm(x));
@@ -384,11 +367,9 @@ TEST_P(BatchApiEquivalence, BatchedMatchesPerSample) {
   variants[1].variation_sigma = 0.1;  // forces the non-fused batch fallback
   variants[2].adc_bits_override = 3;
   for (const MsimConfig& cfg : variants) {
-    MsimConfig dense_cfg = cfg;
-    dense_cfg.use_plan = false;
     AnalogLayerSim batched(layer, cfg);
     AnalogLayerSim serial(layer, cfg);
-    AnalogLayerSim dense(layer, dense_cfg);
+    DenseSim dense(layer, cfg, serial.variation());
     const std::string what = "sigma=" + std::to_string(cfg.variation_sigma) +
                              " adc=" + std::to_string(cfg.adc_bits_override);
 
@@ -614,10 +595,8 @@ TEST(SessionBatchIdentity, BatchOfBEqualsBSingleImageForwards) {
 void expect_general_matches_dense(const xbar::MappedLayer& layer,
                                   const MsimConfig& cfg, int input_bits,
                                   const std::string& what) {
-  MsimConfig dense_cfg = cfg;
-  dense_cfg.use_plan = false;
   AnalogLayerSim packed(layer, cfg);
-  AnalogLayerSim dense(layer, dense_cfg);
+  DenseSim dense(layer, cfg, packed.variation());
   for (std::uint64_t seed : {51ULL, 52ULL, 53ULL}) {
     const auto x = random_codes(layer.rows, input_bits, seed);
     EXPECT_EQ(packed.mvm(x), dense.mvm(x)) << what << " seed=" << seed;
@@ -680,10 +659,8 @@ TEST(GeneralPath, ClippingVariationSimMatchesDense) {
   for (const double alpha : {0.0, 0.3}) {
     MsimConfig cfg = nonideal(0.1, alpha);
     cfg.adc_bits_override = layer.required_adc_bits() - 2;
-    MsimConfig dense_cfg = cfg;
-    dense_cfg.use_plan = false;
     AnalogLayerSim packed(layer, cfg);
-    AnalogLayerSim dense(layer, dense_cfg);
+    DenseSim dense(layer, cfg, packed.variation());
     // Saturating inputs on every row, then random codes.
     std::vector<std::int32_t> x(static_cast<std::size_t>(layer.rows), 255);
     EXPECT_EQ(packed.mvm(x), dense.mvm(x)) << "alpha=" << alpha;
@@ -774,7 +751,7 @@ TEST(GeneralPath, BatchMatchesPerSampleUnderVariation) {
 }
 
 /// The non-fused sample loop of mvm_real_columns against per-sample
-/// mvm_real / mvm_real_signed calls on a packed sim and on a dense sim.
+/// mvm_real / mvm_real_signed calls on a packed sim and on the dense model.
 /// The columns are post-ReLU-like (mostly zeros, small values, a few past
 /// full scale), plus an all-zero column, a column with one full-scale
 /// code and a saturating column. The cases reach the zero-code skip and
@@ -806,8 +783,6 @@ TEST(GeneralPath, ColumnsMatchPerSampleOnPostReluInputs) {
     MsimConfig cfg = nonideal(0.1, c.alpha);
     if (c.under_bits > 0)
       cfg.adc_bits_override = layer.required_adc_bits() - c.under_bits;
-    MsimConfig dense_cfg = cfg;
-    dense_cfg.use_plan = false;
 
     tinyadc::Rng rng(601);
     Tensor xcols({layer.rows, kBatch});  // zero-filled
@@ -835,7 +810,7 @@ TEST(GeneralPath, ColumnsMatchPerSampleOnPostReluInputs) {
                                  " threads=" + std::to_string(threads);
         AnalogLayerSim batched(layer, cfg);
         AnalogLayerSim serial(layer, cfg);
-        AnalogLayerSim dense(layer, dense_cfg);
+        DenseSim dense(layer, cfg, serial.variation());
         const Tensor yc = batched.mvm_real_columns(xin, q, signed_input);
         ASSERT_EQ(yc.shape(), (Shape{layer.cols, kBatch}));
         for (std::int64_t s = 0; s < kBatch; ++s) {
@@ -851,15 +826,12 @@ TEST(GeneralPath, ColumnsMatchPerSampleOnPostReluInputs) {
             EXPECT_EQ(yc.at(o, s), y[static_cast<std::size_t>(o)])
                 << what << " sample " << s << " column " << o;
         }
-        for (const AnalogLayerSim* ref : {&serial, &dense}) {
-          EXPECT_EQ(batched.stats().adc_conversions,
-                    ref->stats().adc_conversions)
+        for (const MsimStats& ref : {serial.stats(), dense.stats()}) {
+          EXPECT_EQ(batched.stats().adc_conversions, ref.adc_conversions)
               << what;
-          EXPECT_EQ(batched.stats().adc_clip_events,
-                    ref->stats().adc_clip_events)
+          EXPECT_EQ(batched.stats().adc_clip_events, ref.adc_clip_events)
               << what;
-          EXPECT_EQ(batched.stats().dac_cycles, ref->stats().dac_cycles)
-              << what;
+          EXPECT_EQ(batched.stats().dac_cycles, ref.dac_cycles) << what;
         }
         if (c.under_bits > 0) {
           EXPECT_GT(batched.stats().adc_clip_events, 0) << what;
@@ -892,8 +864,6 @@ TEST(GeneralPath, IdealClippingMatchesDense) {
       const auto layer = xbar::map_matrix(m, "l", map_cfg);
       MsimConfig cfg;
       cfg.adc_bits_override = 3;
-      MsimConfig dense_cfg = cfg;
-      dense_cfg.use_plan = false;
 
       // Uniform, post-ReLU and all-full-scale samples.
       std::vector<std::int32_t> xs;
@@ -918,7 +888,7 @@ TEST(GeneralPath, IdealClippingMatchesDense) {
                                  " cell_bits=" + std::to_string(cell_bits) +
                                  " threads=" + std::to_string(threads);
         const auto expect_counters = [&](const AnalogLayerSim& sim,
-                                         const AnalogLayerSim& dense,
+                                         const DenseSim& dense,
                                          const std::string& entry) {
           EXPECT_EQ(sim.stats().adc_conversions,
                     dense.stats().adc_conversions)
@@ -934,7 +904,7 @@ TEST(GeneralPath, IdealClippingMatchesDense) {
         // mvm and mvm_batch against per-sample dense mvm.
         AnalogLayerSim single(layer, cfg);
         AnalogLayerSim batched(layer, cfg);
-        AnalogLayerSim dense(layer, dense_cfg);
+        DenseSim dense(layer, cfg, single.variation());
         const auto yb = batched.mvm_batch(xs, kBatch);
         for (std::int64_t s = 0; s < kBatch; ++s) {
           const std::vector<std::int32_t> x(xs.begin() + s * layer.rows,
@@ -955,7 +925,7 @@ TEST(GeneralPath, IdealClippingMatchesDense) {
             for (std::int64_t i = 0; i < xin.numel(); ++i)
               xin.data()[i] = std::fabs(xin.data()[i]);
           AnalogLayerSim cols(layer, cfg);
-          AnalogLayerSim cols_dense(layer, dense_cfg);
+          DenseSim cols_dense(layer, cfg, cols.variation());
           const Tensor yc = cols.mvm_real_columns(xin, q, signed_input);
           for (std::int64_t s = 0; s < kBatch; ++s) {
             std::vector<float> x(static_cast<std::size_t>(layer.rows));
