@@ -144,93 +144,6 @@ int run(int argc, char** argv) {
                 identical ? "" : "  DIGEST MISMATCH");
     rows.push_back({"serve_engine", workers, ms, identical});
   }
-  // Pipeline phase: batch-1 latency on the deep full-width constructors
-  // (resnet50 / vgg16, width-scaled to the bench CPU budget like every
-  // other bench), sequential vs the stage-parallel pipeline at 1/2/4
-  // stages. With cores available, batch-1 latency improves monotonically
-  // with the stage count (up to the partition's bottleneck stage); on a
-  // single-core box the stage threads time-share and the pipeline matches
-  // sequential within noise. Either way the digests are hard-gated: every
-  // stage count must reproduce the sequential bytes exactly.
-  const std::int64_t pipe_requests = quick_mode() ? 8 : 32;
-  for (const std::string arch : {"resnet50", "vgg16"}) {
-    nn::ModelConfig pmc;
-    pmc.num_classes = spec.num_classes;
-    pmc.image_size = 8;
-    pmc.width_mult = 0.125F;
-    const auto pmodel = nn::build_model(arch, pmc);
-    project_cp_inplace(*pmodel, 8, {32, 32});
-    const auto pnet = xbar::map_model(*pmodel, map_cfg);
-    msim::AnalogNetwork panalog(*pmodel, pnet, msim::MsimConfig{});
-    panalog.calibrate(data.train, 8);
-
-    // Sequential batch-1 baseline for this model (also the digest oracle).
-    std::uint64_t pseq_digest = serve::fnv1a(nullptr, 0);
-    double pseq_ms = 0.0;
-    {
-      msim::AnalogSession session(panalog);
-      // Untimed warm-up forward (workspace + arena faults).
-      {
-        const Tensor img = extract_image(data.test, 0);
-        Tensor batch({1, img.dim(0), img.dim(1), img.dim(2)});
-        std::memcpy(batch.data(), img.data(),
-                    static_cast<std::size_t>(img.numel()) * sizeof(float));
-        session.forward(batch);
-      }
-      const auto t0 = Clock::now();
-      for (std::int64_t i = 0; i < pipe_requests; ++i) {
-        const Tensor img = extract_image(data.test, i % data.test.size());
-        Tensor batch({1, img.dim(0), img.dim(1), img.dim(2)});
-        std::memcpy(batch.data(), img.data(),
-                    static_cast<std::size_t>(img.numel()) * sizeof(float));
-        const Tensor logits = session.forward(batch);
-        const std::int64_t label = argmax_range(logits, 0, logits.numel());
-        pseq_digest = serve::fnv1a(
-            logits.data(),
-            static_cast<std::size_t>(logits.numel()) * sizeof(float),
-            pseq_digest);
-        pseq_digest = serve::fnv1a(&label, sizeof(label), pseq_digest);
-      }
-      pseq_ms = ms_since(t0);
-    }
-    char seq_name[48];
-    std::snprintf(seq_name, sizeof(seq_name), "%s seq (batch 1)",
-                  arch.c_str());
-    std::printf("%-24s %10.1f %10.1f %8.2fx\n", seq_name, pseq_ms,
-                1000.0 * static_cast<double>(pipe_requests) / pseq_ms, 1.0);
-    char row_name[64];
-    std::snprintf(row_name, sizeof(row_name), "serve_pipeline_%s_seq",
-                  arch.c_str());
-    rows.push_back({row_name, 1, pseq_ms, true});
-
-    for (const int stages : {1, 2, 4}) {
-      serve::ServeConfig cfg;
-      cfg.pipeline_stages = stages;
-      cfg.max_batch = 1;  // batch-1 latency: pipelining is the only lever
-      cfg.deterministic = true;
-      serve::InferenceEngine engine(panalog, cfg);
-      serve::LoadgenConfig lc;
-      lc.requests = pipe_requests;
-      lc.max_outstanding = 8;
-      const auto t0 = Clock::now();
-      const serve::LoadgenReport report =
-          serve::run_loadgen(engine, data.test, lc);
-      const double ms = ms_since(t0);
-      engine.shutdown();
-      const bool identical = report.output_digest == pseq_digest;
-      all_identical = all_identical && identical;
-      char name[48];
-      std::snprintf(name, sizeof(name), "%s pipeline x%d", arch.c_str(),
-                    stages);
-      std::printf("%-24s %10.1f %10.1f %8.2fx%s\n", name, ms,
-                  1000.0 * static_cast<double>(pipe_requests) / ms,
-                  pseq_ms / ms, identical ? "" : "  DIGEST MISMATCH");
-      std::snprintf(row_name, sizeof(row_name), "serve_pipeline_%s",
-                    arch.c_str());
-      rows.push_back({row_name, stages, ms, identical});
-    }
-  }
-
   // Cold-start phase: time-to-first-response for a fresh serving process.
   // "inprocess" pays the full pipeline (build + prune-project + map +
   // plan-compile + calibrate); "artifact" deserializes the deployment file

@@ -10,14 +10,18 @@
 
 namespace tinyadc::hw {
 
-std::vector<std::int64_t> mvms_per_inference(nn::Model& model,
+std::vector<std::int64_t> mvms_per_inference(const nn::Model& model,
                                              const Shape& input_shape) {
   TINYADC_CHECK(input_shape.size() == 3, "input_shape must be (C, H, W)");
-  // One dummy image resolves every conv's spatial geometry.
+  // One dummy image resolves every conv's spatial geometry. It runs on a
+  // clone, which carries no MVM hooks: an attached AnalogNetwork would
+  // otherwise simulate the dummy and count it in every layer's ADC, clip
+  // and DAC counters.
+  nn::Model probe = model.clone();
   Tensor dummy({1, input_shape[0], input_shape[1], input_shape[2]});
-  (void)model.forward(dummy, /*training=*/false);
+  (void)probe.forward(dummy, /*training=*/false);
   std::vector<std::int64_t> mvms;
-  model.root().visit([&mvms](nn::Layer& layer) {
+  probe.root().visit([&mvms](nn::Layer& layer) {
     if (auto* conv = dynamic_cast<nn::Conv2d*>(&layer)) {
       const auto& g = conv->last_geometry();
       mvms.push_back(g.out_h() * g.out_w());

@@ -49,8 +49,9 @@ struct InferenceCost {
 
 /// MVM counts per prunable layer for one image of `input_shape`
 /// (C, H, W): conv layers contribute out_h·out_w, FC layers 1. Runs a
-/// single dummy forward pass to resolve spatial geometry.
-std::vector<std::int64_t> mvms_per_inference(nn::Model& model,
+/// single dummy forward pass on a hook-free clone to resolve spatial
+/// geometry, so `model` and any simulator attached to it are untouched.
+std::vector<std::int64_t> mvms_per_inference(const nn::Model& model,
                                              const Shape& input_shape);
 
 /// Estimates per-image latency/energy for `net` (aligned with

@@ -954,25 +954,6 @@ MsimStats AnalogLayerSim::stats_snapshot() const {
   return stats_;
 }
 
-void AnalogLayerSim::prefetch_plan() const {
-  // Touch the first cache lines of the streams the layer's execution path
-  // sweeps first; the hardware prefetcher picks up the sequential walk from
-  // there. Stride by one cache line (8 words / 16 int32) over a small head
-  // window so the hint stays cheap even for large layers.
-  constexpr std::size_t kHeadSlots = 512;   // ~2-4 KiB per stream
-  const std::size_t slots = std::min(kHeadSlots, soa_row_.size());
-  for (std::size_t i = 0; i < slots; i += 16) {
-    TINYADC_PREFETCH(soa_row_.data() + i);
-    TINYADC_PREFETCH(soa_mag_.data() + i);
-  }
-  if (exec_path_ == ExecPath::kGeneral) {
-    const std::size_t lv = std::min(kHeadSlots, soa_level_.size());
-    for (std::size_t i = 0; i < lv; i += 16)
-      TINYADC_PREFETCH(soa_level_.data() + i);
-  }
-  if (!soa_seg_.empty()) TINYADC_PREFETCH(soa_seg_.data());
-}
-
 AnalogLayerSim::AnalogLayerSim(const xbar::MappedLayer& layer,
                                MsimConfig config, RestoredState&& restored)
     : layer_(layer),

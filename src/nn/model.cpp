@@ -110,28 +110,6 @@ std::vector<WeightMatrixView> Model::prunable_views() {
   return out;
 }
 
-std::vector<StageUnit> Model::stage_units() {
-  std::vector<StageUnit> units;
-  units.reserve(root_->size());
-  std::size_t next_prunable = 0;
-  for (std::size_t i = 0; i < root_->size(); ++i) {
-    Layer& child = root_->child(i);
-    StageUnit unit;
-    unit.index = i;
-    unit.name = child.name();
-    // Pre-order over the whole model is the concatenation of each root
-    // child's pre-order, so the global prunable index just advances as we
-    // visit child subtrees in order.
-    child.visit([&unit, &next_prunable](Layer& l) {
-      if (dynamic_cast<Conv2d*>(&l) != nullptr ||
-          dynamic_cast<Linear*>(&l) != nullptr)
-        unit.prunable.push_back(next_prunable++);
-    });
-    units.push_back(std::move(unit));
-  }
-  return units;
-}
-
 std::int64_t Model::param_count() {
   std::int64_t n = 0;
   for (Param* p : params()) n += p->value.numel();

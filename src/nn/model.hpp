@@ -45,23 +45,6 @@ WeightMatrixView matrix_view(Conv2d& conv);
 /// Builds the crossbar-layout view for a linear layer.
 WeightMatrixView matrix_view(Linear& linear);
 
-/// One pipeline-stage unit of a model: a direct child of the root
-/// Sequential (a stem conv, a whole residual block, a pool, the
-/// classifier head, ...) plus the prunable-layer indices it contains.
-///
-/// Units are the atomic grain of the stage partitioner: the root chain's
-/// forward is exactly the composition of its children's forwards, so any
-/// contiguous grouping of units computes the same function as the whole
-/// model (see Sequential::forward_range). `prunable` holds indices into
-/// prunable_views() order — the same order xbar::MappedNetwork::layers and
-/// msim::AnalogNetwork::sims() use — so a unit's analog cost can be read
-/// straight off the mapping's occupancy census.
-struct StageUnit {
-  std::size_t index = 0;               ///< root child index
-  std::string name;                    ///< root child's layer name
-  std::vector<std::size_t> prunable;   ///< prunable-view indices inside
-};
-
 /// A trained network plus introspection services.
 class Model {
  public:
@@ -86,12 +69,6 @@ class Model {
   /// Crossbar-layout views of every prunable weight (convs then linears, in
   /// network order).
   std::vector<WeightMatrixView> prunable_views();
-
-  /// Stage-split view: one StageUnit per direct child of the root chain,
-  /// in execution order, with each unit's prunable-view indices. The
-  /// concatenation of all units' `prunable` lists is exactly
-  /// [0, prunable_views().size()) in order.
-  std::vector<StageUnit> stage_units();
 
   /// Total parameter count.
   std::int64_t param_count();

@@ -10,17 +10,6 @@ Tensor Sequential::forward(const Tensor& input, bool training) {
   return x;
 }
 
-Tensor Sequential::forward_range(const Tensor& input, std::size_t begin,
-                                 std::size_t end, bool training) {
-  TINYADC_CHECK(begin <= end && end <= children_.size(),
-                "forward_range [" << begin << ", " << end << ") out of "
-                                  << children_.size() << " children");
-  Tensor x = input;
-  for (std::size_t i = begin; i < end; ++i)
-    x = children_[i]->forward(x, training);
-  return x;
-}
-
 Tensor Sequential::backward(const Tensor& grad_output) {
   Tensor g = grad_output;
   for (auto it = children_.rbegin(); it != children_.rend(); ++it)

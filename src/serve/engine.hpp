@@ -1,162 +1,69 @@
-// Concurrent inference serving engine with dynamic batching.
+// Single-model serving: a FleetServer with one tenant.
 //
-// Requests (single images) enter a thread-safe FIFO queue; a pool of
-// worker threads coalesces them into batches and executes each batch on
-// its own AnalogSession — a cheap Model::clone() replica hooked to the
-// *shared* compiled analog-MVM plans, so the expensive plan compilation
-// and activation calibration happen once per deployment (see
-// msim::AnalogSession). The batcher is dynamic: a worker takes up to
-// `max_batch` requests immediately when available, and otherwise holds
-// the partial batch until the oldest request's `max_wait_us` deadline
-// expires (latency/throughput trade-off, ISAAC-style tiles are
-// throughput machines fed by many concurrent queries).
+// Requests (single images) are batched and executed exactly as a fleet
+// tenant's (serve/fleet.hpp): a pool of `workers` threads, each with its
+// own AnalogSession replica over the shared compiled plans, takes batches
+// of up to `max_batch` requests, holding a partial batch until the oldest
+// request's `max_wait_us` deadline. Mixed (C, H, W) input shapes are
+// bucketed per shape, and every result reports version 1 (an engine never
+// hot-swaps).
 //
-// Determinism contract (`ServeConfig::deterministic`): batches are formed
-// strictly as consecutive arrival-order groups of exactly `max_batch`
-// requests — the deadline flush is disabled, and partial batches are only
-// released when the engine drains (wait_idle/shutdown). Since takes are
-// serialized FIFO pops under one lock, batch k always contains request
-// seqs [k*B, k*B+B), independent of worker count and timing jitter; each
-// request's logits depend only on its own image (per-sample-independent
-// digital layers, per-pixel analog MVMs), and the shared sims' ADC
-// counters are commutative integer merges — so outputs AND aggregate
-// counters are byte-identical at any worker count. Latency/queue-depth
-// statistics are timing-dependent and excluded from the contract.
+// Determinism contract (`ServeConfig::deterministic`): batches are
+// consecutive arrival-order groups of exactly `max_batch` requests, and
+// partials are released only when the engine drains (wait_idle/shutdown),
+// so outputs and the ADC/clip/DAC counter deltas are byte-identical at any
+// worker count. Latency/queue-depth statistics are timing-dependent and
+// excluded from the contract.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "msim/analog_network.hpp"
-#include "serve/pipeline.hpp"
-#include "serve/stats.hpp"
+#include "serve/fleet.hpp"
 
 namespace tinyadc::serve {
 
-/// Engine tuning knobs.
+/// Engine tuning knobs (one tenant's TenantConfig plus the pool size).
 struct ServeConfig {
   int workers = 1;               ///< worker sessions (threads)
   std::size_t max_batch = 8;     ///< batch coalescing limit
   std::int64_t max_wait_us = 1000;  ///< partial-batch flush deadline
   bool deterministic = false;    ///< pin batch composition by arrival order
   std::size_t max_queue = 0;     ///< 0 = unbounded; else reject when full
-  /// Third execution mode: > 0 splits the model into that many
-  /// pipeline-parallel stages (see serve/pipeline.hpp) fed by a single
-  /// batching dispatcher; `workers` is ignored. 0 keeps the sequential /
-  /// replicated-worker modes above. Composes with dynamic batching and
-  /// the determinism contract: in deterministic mode outputs, counter
-  /// deltas and digests are byte-identical across stage counts and vs
-  /// the sequential engine.
-  int pipeline_stages = 0;
 };
 
-/// Outcome of one served request.
-struct InferenceResult {
-  std::uint64_t seq = 0;         ///< arrival sequence number
-  std::vector<float> logits;     ///< class scores
-  std::int64_t label = 0;        ///< argmax of logits
-  double latency_us = 0.0;       ///< submit-to-completion (not deterministic)
-  std::uint64_t batch_seq = 0;   ///< which batch served this request
-  std::size_t batch_size = 0;    ///< size of that batch
-  /// Model-version ordinal that served this request (fleet serving: 1 for
-  /// the version a tenant started with, incremented by every hot-swap).
-  /// 0 for the single-model InferenceEngine, which has no versions.
-  std::uint64_t version = 0;
-};
-
-/// Accepts single-image requests, batches them dynamically and executes
-/// them on a pool of worker sessions over one calibrated AnalogNetwork.
-/// The compiled network must outlive the engine; `submit` is safe from
-/// any number of producer threads.
+/// Serves one calibrated AnalogNetwork, which must outlive the engine.
+/// `submit` is safe from any number of producer threads.
 class InferenceEngine {
  public:
-  InferenceEngine(const msim::AnalogNetwork& compiled, ServeConfig config);
-  ~InferenceEngine();
-  InferenceEngine(const InferenceEngine&) = delete;
-  InferenceEngine& operator=(const InferenceEngine&) = delete;
+  InferenceEngine(const msim::AnalogNetwork& compiled, ServeConfig config)
+      : fleet_(FleetConfig{config.workers}),
+        tenant_(fleet_.add_tenant(
+            TenantConfig{.name = "engine",
+                         .max_batch = config.max_batch,
+                         .max_wait_us = config.max_wait_us,
+                         .max_queue = config.max_queue,
+                         .deterministic = config.deterministic},
+            compiled)) {}
 
-  /// Enqueues one (C, H, W) image. The future resolves when a worker has
-  /// served the request; it carries an exception if the queue bound
-  /// rejected the submit or the forward pass failed. All submitted images
-  /// must share one shape.
-  std::future<InferenceResult> submit(Tensor image);
-
-  /// Blocks until every submitted request has completed. In deterministic
-  /// mode this also releases the trailing partial batch (the drain point
-  /// is part of the deterministic request stream).
-  void wait_idle();
-
-  /// Stops accepting work, serves everything still queued (in-flight
-  /// requests are never dropped), and joins the workers. Idempotent;
-  /// also run by the destructor.
-  void shutdown();
-
+  /// Enqueues one (C, H, W) image; the future carries an exception if the
+  /// queue bound rejected the submit or the forward pass failed.
+  std::future<InferenceResult> submit(Tensor image) {
+    return fleet_.submit(tenant_, std::move(image));
+  }
+  /// Blocks until every submitted request has completed (releasing
+  /// deterministic partial batches).
+  void wait_idle() { fleet_.wait_idle(); }
+  /// Stops accepting work, serves everything still queued and joins the
+  /// workers. Idempotent; also run by the destructor.
+  void shutdown() { fleet_.shutdown(); }
   /// Live counter snapshot; safe to call while serving.
-  ServeStats stats() const;
-
-  const ServeConfig& config() const { return config_; }
+  ServeStats stats() const { return fleet_.stats().tenants[0].stats; }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  struct Pending {
-    std::uint64_t seq = 0;
-    Tensor image;
-    Clock::time_point t_submit;
-    std::promise<InferenceResult> promise;
-  };
-
-  /// Pops the next batch under the batching policy; false when stopping.
-  bool take_batch(std::vector<Pending>& batch, std::uint64_t& batch_seq);
-  void worker_main(msim::AnalogSession& session);
-  /// Pipeline mode's single batching thread: forms batches exactly like a
-  /// worker, then hands them to the stage pipeline instead of running
-  /// them inline. Builds the PipelineExecutor lazily on the first batch
-  /// (the micro-calibration probe needs a real input batch).
-  void dispatcher_main();
-  void run_batch(msim::AnalogSession& session, std::vector<Pending>& batch,
-                 std::uint64_t batch_seq);
-  /// Shared completion tail: fulfills every promise of `batch` from
-  /// `logits` (or `error`) and merges the latency/batch statistics.
-  void finish_batch(std::vector<Pending>& batch, std::uint64_t batch_seq,
-                    const Tensor& logits, std::exception_ptr error);
-
-  const msim::AnalogNetwork& compiled_;
-  const ServeConfig config_;
-  std::vector<std::unique_ptr<msim::AnalogSession>> sessions_;
-  std::vector<std::thread> threads_;
-  Clock::time_point t_start_;
-
-  mutable std::mutex mu_;  ///< guards the queue block below
-  std::condition_variable cv_;       ///< work available / drain / stop
-  std::condition_variable idle_cv_;  ///< queue empty and nothing in flight
-  std::deque<Pending> queue_;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t next_batch_seq_ = 0;
-  std::size_t inflight_ = 0;  ///< requests taken but not yet completed
-  int drain_waiters_ = 0;     ///< wait_idle callers (releases partial batches)
-  bool stop_ = false;
-  std::uint64_t rejected_ = 0;
-  std::size_t max_queue_depth_ = 0;
-  std::vector<std::int64_t> expected_shape_;  ///< fixed by the first submit
-
-  mutable std::mutex stats_mu_;  ///< guards the completion stats below
-  LatencyHistogram latency_;
-  std::uint64_t completed_ = 0;
-  std::uint64_t batches_done_ = 0;
-  std::vector<std::uint64_t> batch_hist_;
-  /// Counters at engine start (stats() reports deltas). Mutated once more
-  /// by the dispatcher when the pipeline's timing probe runs — guarded by
-  /// stats_mu_ alongside the executor pointer.
-  msim::MsimStats sims_baseline_;
-  std::unique_ptr<PipelineExecutor> executor_;  ///< pipeline mode only
+  FleetServer fleet_;
+  int tenant_;
 };
 
 }  // namespace tinyadc::serve

@@ -24,12 +24,6 @@ msim::MsimStats sims_total(const msim::AnalogNetwork& compiled) {
   return total;
 }
 
-void accumulate(msim::MsimStats& into, const msim::MsimStats& s) {
-  into.adc_conversions += s.adc_conversions;
-  into.adc_clip_events += s.adc_clip_events;
-  into.dac_cycles += s.dac_cycles;
-}
-
 /// into += now - baseline.
 void accumulate_delta(msim::MsimStats& into, const msim::MsimStats& now,
                       const msim::MsimStats& baseline) {
@@ -100,19 +94,32 @@ FleetServer::FleetServer(FleetConfig config)
 FleetServer::~FleetServer() { shutdown(); }
 
 std::shared_ptr<FleetServer::Version> FleetServer::build_version(
-    const TenantConfig& cfg, artifact::Deployment deployment) {
+    const msim::AnalogNetwork& analog,
+    std::optional<artifact::Deployment> deployment) {
+  TINYADC_CHECK(analog.calibrated(),
+                "fleet tenants require a calibrated AnalogNetwork");
   auto v = std::make_shared<Version>();
-  v->deployment.emplace(std::move(deployment));
-  v->deployment->finish_streaming();
-  v->analog = v->deployment->analog.get();
-  TINYADC_CHECK(v->analog != nullptr && v->analog->calibrated(),
-                "artifact deployment is not a calibrated analog network");
-  if (cfg.pipeline_stages == 0) {
-    for (int w = 0; w < config_.workers; ++w)
-      v->sessions.push_back(std::make_unique<msim::AnalogSession>(*v->analog));
-  }
+  v->deployment = std::move(deployment);
+  v->analog = &analog;
+  for (int w = 0; w < config_.workers; ++w)
+    v->sessions.push_back(std::make_unique<msim::AnalogSession>(analog));
   return v;
 }
+
+namespace {
+
+/// Loads an artifact for a new tenant version: mapped (async streaming) or
+/// copied, then waits for the streamer so the version is complete.
+artifact::Deployment load_deployment(const std::string& path, bool mmap) {
+  artifact::Deployment dep = mmap ? artifact::load_artifact_mapped(path, true)
+                                  : artifact::load_artifact(path);
+  dep.finish_streaming();
+  TINYADC_CHECK(dep.analog != nullptr,
+                "artifact deployment has no analog network");
+  return dep;
+}
+
+}  // namespace
 
 int FleetServer::register_tenant(const TenantConfig& config,
                                  std::shared_ptr<Version> version) {
@@ -120,7 +127,6 @@ int FleetServer::register_tenant(const TenantConfig& config,
   TINYADC_CHECK(config.max_batch >= 1, "max_batch must be >= 1");
   TINYADC_CHECK(config.weight > 0.0, "tenant weight must be > 0");
   TINYADC_CHECK(config.priority >= 0, "tenant priority must be >= 0");
-  TINYADC_CHECK(config.pipeline_stages >= 0, "pipeline_stages must be >= 0");
   {
     // Counters accumulated before the tenant existed (calibration runs,
     // other tenants over the same in-process network) are not its traffic.
@@ -138,33 +144,21 @@ int FleetServer::register_tenant(const TenantConfig& config,
   tenant->t_start = Clock::now();
   tenant->batch_hist.assign(config.max_batch + 1, 0);
   tenant->current = std::move(version);
-  Tenant* raw = tenant.get();
   picker_.add(config.priority, config.weight);
   tenants_.push_back(std::move(tenant));
-  if (config.pipeline_stages > 0)
-    raw->dispatcher = std::thread([this, idx] { tenant_dispatcher_main(idx); });
   return idx;
 }
 
 int FleetServer::add_tenant(const TenantConfig& config,
                             const std::string& artifact_path, bool mmap) {
-  artifact::Deployment dep =
-      mmap ? artifact::load_artifact_mapped(artifact_path, true)
-           : artifact::load_artifact(artifact_path);
-  return register_tenant(config, build_version(config, std::move(dep)));
+  artifact::Deployment dep = load_deployment(artifact_path, mmap);
+  const msim::AnalogNetwork& analog = *dep.analog;
+  return register_tenant(config, build_version(analog, std::move(dep)));
 }
 
 int FleetServer::add_tenant(const TenantConfig& config,
                             const msim::AnalogNetwork& compiled) {
-  TINYADC_CHECK(compiled.calibrated(),
-                "fleet tenants require a calibrated AnalogNetwork");
-  auto v = std::make_shared<Version>();
-  v->analog = &compiled;
-  if (config.pipeline_stages == 0) {
-    for (int w = 0; w < config_.workers; ++w)
-      v->sessions.push_back(std::make_unique<msim::AnalogSession>(compiled));
-  }
-  return register_tenant(config, std::move(v));
+  return register_tenant(config, build_version(compiled));
 }
 
 int FleetServer::tenant_id_locked(const std::string& name) const {
@@ -229,7 +223,13 @@ std::future<InferenceResult> FleetServer::submit(int tenant, Tensor image) {
   bucket->items.push_back(std::move(pending));
   ++t.queued;
   t.max_queue_depth = std::max(t.max_queue_depth, t.queued);
-  cv_.notify_all();
+  // Wake the workers only when this submit can change what a sleeping
+  // worker would pick: the bucket filled, or its first request set a new
+  // deadline (non-deterministic) or is ready at once (draining). Any other
+  // submit would wake every worker to find nothing new.
+  const bool first = bucket->items.size() == 1 &&
+                     (!t.cfg.deterministic || drain_waiters_ > 0);
+  if (first || bucket->items.size() >= t.cfg.max_batch) cv_.notify_all();
   return future;
 }
 
@@ -306,9 +306,7 @@ bool FleetServer::take_shared(Popped& out) {
     std::vector<char> ready(tenants_.size(), 0);
     bool any = false;
     for (std::size_t i = 0; i < tenants_.size(); ++i) {
-      const Tenant& t = *tenants_[i];
-      if (t.cfg.pipeline_stages > 0) continue;  // dedicated dispatcher
-      if (tenant_ready(t, now)) {
+      if (tenant_ready(*tenants_[i], now)) {
         ready[i] = 1;
         any = true;
       }
@@ -321,39 +319,18 @@ bool FleetServer::take_shared(Popped& out) {
       cv_.notify_all();  // more ready work may remain for other takers
       return true;
     }
-    // Exit only when stopping AND every shared-pool tenant is empty. A
-    // swap-blocked tenant with queued work keeps the pool alive: the swap
-    // unblocks it (and notifies cv_) before swap_tenant returns.
+    // Exit only when stopping AND every tenant is empty. A swap-blocked
+    // tenant with queued work keeps the pool alive: the swap unblocks it
+    // (and notifies cv_) before swap_tenant returns.
     bool pending = false;
     for (const auto& tp : tenants_)
-      if (tp->cfg.pipeline_stages == 0 && tp->queued > 0) pending = true;
+      if (tp->queued > 0) pending = true;
     if (stop_ && !pending) return false;
     std::optional<Clock::time_point> dl;
     for (const auto& tp : tenants_) {
-      if (tp->cfg.pipeline_stages > 0) continue;
       const auto d = tenant_deadline(*tp);
       if (d && (!dl || *d < *dl)) dl = d;
     }
-    if (dl)
-      cv_.wait_until(lk, *dl);
-    else
-      cv_.wait(lk);
-  }
-}
-
-bool FleetServer::take_tenant(int idx, Popped& out) {
-  std::unique_lock<std::mutex> lk(mu_);
-  Tenant& t = *tenants_[static_cast<std::size_t>(idx)];
-  for (;;) {
-    const auto now = Clock::now();
-    if (tenant_ready(t, now)) {
-      out = pop_batch(idx);
-      lk.unlock();
-      cv_.notify_all();
-      return true;
-    }
-    if (stop_ && t.queued == 0) return false;
-    const auto dl = tenant_deadline(t);
     if (dl)
       cv_.wait_until(lk, *dl);
     else
@@ -391,40 +368,6 @@ void FleetServer::worker_main(int worker) {
     const std::size_t n = p.batch.size();
     p.version.reset();  // drop the version pin before waking swap waiters
     complete_inflight(t, n);
-  }
-}
-
-void FleetServer::tenant_dispatcher_main(int idx) {
-  for (;;) {
-    Popped p;
-    if (!take_tenant(idx, p)) return;
-    Tenant* tenant = p.tenant;  // stable; callbacks may outlive this frame
-    Tenant& t = *tenant;
-    Tensor images = assemble(p.batch);
-    Version& v = *p.version;
-    if (!v.executor) {
-      // First batch on this version: build the pipeline with this batch as
-      // the timing probe's sample and fold the probe's counter delta into
-      // the version's baseline — served-traffic deltas stay byte-identical
-      // to the shared-pool path (and survive hot-swaps, which rebuild the
-      // executor and re-run the probe on the new version).
-      auto executor = std::make_unique<PipelineExecutor>(
-          *v.analog, t.cfg.pipeline_stages, images);
-      std::lock_guard<std::mutex> sl(stats_mu_);
-      accumulate(v.baseline, executor->probe_stats());
-      v.executor = std::move(executor);
-    }
-    auto shared = std::make_shared<std::vector<Pending>>(std::move(p.batch));
-    auto version = p.version;
-    const std::uint64_t batch_seq = p.batch_seq;
-    v.executor->submit(
-        std::move(images),
-        [this, tenant, shared, batch_seq, version](Tensor logits,
-                                                   std::exception_ptr error) {
-          finish_batch(*tenant, *shared, batch_seq, version->ordinal, logits,
-                       error);
-          complete_inflight(*tenant, shared->size());
-        });
   }
 }
 
@@ -477,15 +420,12 @@ std::uint64_t FleetServer::swap_tenant(const std::string& name,
                                       const std::string& path, bool mmap) {
   // Load and validate the candidate entirely outside the locks — traffic
   // keeps flowing (on the old version) while the artifact parses.
-  artifact::Deployment dep = mmap ? artifact::load_artifact_mapped(path, true)
-                                  : artifact::load_artifact(path);
+  artifact::Deployment dep = load_deployment(path, mmap);
   int idx = -1;
-  TenantConfig cfg;
   {
     std::lock_guard<std::mutex> lk(mu_);
     idx = tenant_id_locked(name);
     const Tenant& t = *tenants_[static_cast<std::size_t>(idx)];
-    cfg = t.cfg;
     if (t.current->deployment) {
       TINYADC_CHECK(
           dep.meta.model_config.num_classes ==
@@ -498,7 +438,8 @@ std::uint64_t FleetServer::swap_tenant(const std::string& name,
                                   << ")");
     }
   }
-  std::shared_ptr<Version> next = build_version(cfg, std::move(dep));
+  const msim::AnalogNetwork& analog = *dep.analog;
+  std::shared_ptr<Version> next = build_version(analog, std::move(dep));
 
   std::shared_ptr<Version> old;
   std::uint64_t ordinal = 0;
@@ -528,11 +469,7 @@ std::uint64_t FleetServer::swap_tenant(const std::string& name,
     t.swap_blocked = false;
   }
   cv_.notify_all();  // release the held dequeues (and any queued swap)
-  // Tear the retired version down outside the locks: drain its pipeline
-  // stage threads (no batches remain — inflight was zero at the flip),
-  // then drop the deployment.
-  if (old->executor) old->executor->shutdown();
-  old.reset();
+  old.reset();  // tear the retired version down outside the locks
   return ordinal;
 }
 
@@ -556,30 +493,12 @@ void FleetServer::shutdown() {
   cv_.notify_all();
   for (std::thread& w : workers_) w.join();
   workers_.clear();
-  std::vector<Tenant*> tenants;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const auto& tp : tenants_) tenants.push_back(tp.get());
-  }
-  for (Tenant* t : tenants)
-    if (t->dispatcher.joinable()) t->dispatcher.join();
-  // Dispatchers have exited, so no more submits; drain the stage threads
-  // (batches already in a pipeline still complete — their callbacks take
-  // mu_, which is why no lock is held here). Executors stay alive for
-  // post-shutdown stats().
-  for (Tenant* t : tenants) {
-    std::shared_ptr<Version> v;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      v = t->current;
-    }
-    if (v && v->executor) v->executor->shutdown();
-  }
 }
 
 FleetStats FleetServer::stats() const {
   FleetStats out;
   const auto now = Clock::now();
+  const std::int64_t rss = peak_rss_kb();
   struct Snap {
     const Tenant* tenant = nullptr;
     std::shared_ptr<Version> version;
@@ -648,8 +567,7 @@ FleetStats FleetServer::stats() const {
       st.adc_conversions = delta.adc_conversions;
       st.adc_clip_events = delta.adc_clip_events;
       st.dac_cycles = delta.dac_cycles;
-      st.pipeline_stages = t.cfg.pipeline_stages;
-      if (s.version->executor) st.stages = s.version->executor->stage_stats();
+      st.peak_rss_kb = rss;
 
       agg.requests += st.requests;
       agg.batches += st.batches;
@@ -676,7 +594,7 @@ FleetStats FleetServer::stats() const {
       agg.wall_s > 0.0 ? static_cast<double>(agg.requests) / agg.wall_s : 0.0;
   agg.mean_batch =
       agg.batches ? static_cast<double>(agg.requests) / agg.batches : 0.0;
-  agg.peak_rss_kb = peak_rss_kb();
+  agg.peak_rss_kb = rss;
   return out;
 }
 

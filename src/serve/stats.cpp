@@ -106,23 +106,6 @@ std::string ServeStats::to_table() const {
                   load_stream_ms);
     out += line;
   }
-  if (pipeline_stages > 0) {
-    std::snprintf(line, sizeof(line), "%-22s %12d\n", "pipeline stages",
-                  pipeline_stages);
-    out += line;
-    for (std::size_t s = 0; s < stages.size(); ++s) {
-      const PipelineStageStats& st = stages[s];
-      std::snprintf(line, sizeof(line),
-                    "  stage %zu units [%zu,%zu)  batches %llu  busy %lld us"
-                    "  stall-in %lld us  stall-out %lld us\n",
-                    s, st.begin, st.end,
-                    static_cast<unsigned long long>(st.batches),
-                    static_cast<long long>(st.busy_us),
-                    static_cast<long long>(st.stall_in_us),
-                    static_cast<long long>(st.stall_out_us));
-      out += line;
-    }
-  }
   return out;
 }
 
@@ -144,15 +127,6 @@ std::string ServeStats::to_json() const {
       << ", \"load_stream_ms\": " << load_stream_ms << ", \"batch_hist\": [";
   for (std::size_t b = 0; b < batch_hist.size(); ++b)
     out << (b ? ", " : "") << batch_hist[b];
-  out << "], \"pipeline_stages\": " << pipeline_stages << ", \"stages\": [";
-  for (std::size_t s = 0; s < stages.size(); ++s) {
-    const PipelineStageStats& st = stages[s];
-    out << (s ? ", " : "") << "{\"begin\": " << st.begin
-        << ", \"end\": " << st.end << ", \"batches\": " << st.batches
-        << ", \"busy_us\": " << st.busy_us
-        << ", \"stall_in_us\": " << st.stall_in_us
-        << ", \"stall_out_us\": " << st.stall_out_us << "}";
-  }
   out << "]}";
   return out.str();
 }

@@ -1,6 +1,6 @@
 // Serving-side observability: a log-linear latency histogram (bounded
-// memory, ~±2 % relative resolution) and the ServeStats snapshot the
-// InferenceEngine exposes.
+// memory, ~±2 % relative resolution) and the ServeStats snapshot every
+// FleetServer tenant (and the one-tenant InferenceEngine) exposes.
 //
 // The histogram follows the HDR-histogram idea scaled down: bucket i
 // covers latencies in [2^(i/kSub), 2^((i+1)/kSub)) microseconds, so
@@ -45,24 +45,12 @@ class LatencyHistogram {
   double max_us_ = 0.0;
 };
 
-/// Per-stage execution counters of the pipeline executor (microseconds;
-/// timing-dependent, outside the determinism contract). Defined here so
-/// the serve and loadgen JSON reports share one stats schema.
-struct PipelineStageStats {
-  std::size_t begin = 0;          ///< stage's unit range, for reporting
-  std::size_t end = 0;
-  std::uint64_t batches = 0;      ///< batches this stage processed
-  std::int64_t busy_us = 0;       ///< time inside forward_range
-  std::int64_t stall_in_us = 0;   ///< blocked popping the input queue
-  std::int64_t stall_out_us = 0;  ///< blocked pushing the output queue
-};
-
-/// Point-in-time snapshot of an InferenceEngine's counters.
+/// Point-in-time snapshot of one tenant's (or a fleet's aggregate) counters.
 struct ServeStats {
   std::uint64_t requests = 0;   ///< completed requests
   std::uint64_t batches = 0;    ///< executed batches
   std::uint64_t rejected = 0;   ///< submits refused by the queue bound
-  double wall_s = 0.0;          ///< seconds since the engine started
+  double wall_s = 0.0;          ///< seconds since the tenant registered
   double qps = 0.0;             ///< requests / wall_s
   double p50_us = 0.0;          ///< request latency percentiles
   double p95_us = 0.0;
@@ -74,19 +62,15 @@ struct ServeStats {
   std::vector<std::uint64_t> batch_hist;
   std::size_t max_queue_depth = 0;  ///< deepest queue seen at submit time
   // Aggregate ADC/DAC activity absorbed from the shared layer sims since
-  // the engine started (deltas, so engines over one compiled network
+  // the tenant registered (deltas, so tenants over one compiled network
   // report only their own traffic).
   std::int64_t adc_conversions = 0;
   std::int64_t adc_clip_events = 0;
   std::int64_t dac_cycles = 0;
-  /// Pipeline mode only: configured stage count (0 = sequential/replicated)
-  /// and the per-stage occupancy/stall counters.
-  int pipeline_stages = 0;
-  std::vector<PipelineStageStats> stages;
   /// Process peak resident set (ru_maxrss), snapshotted with the stats.
   std::int64_t peak_rss_kb = 0;
   /// Artifact load-phase breakdown (artifact::LoadPhases), injected by the
-  /// serving entry points when the engine was cold-started from an
+  /// serving entry points when the tenant was cold-started from an
   /// artifact; all zero for in-process construction.
   double load_map_ms = 0.0;
   double load_validate_ms = 0.0;

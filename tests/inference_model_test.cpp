@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core/pruner.hpp"
+#include "data/synthetic.hpp"
 #include "hw/inference_model.hpp"
+#include "msim/analog_network.hpp"
 #include "nn/models.hpp"
 
 namespace tinyadc::hw {
@@ -33,6 +35,31 @@ TEST(MvmsPerInference, CountsConvPixelsAndFcOnce) {
   EXPECT_EQ(mvms.back(), 1);
   // Downsampled stages shrink: layer4 convs see 1x1 spatial.
   EXPECT_EQ(mvms[mvms.size() - 2], 1);
+}
+
+TEST(MvmsPerInference, LeavesAttachedAnalogCountersUntouched) {
+  auto model = tiny_model();
+  const auto net = xbar::map_model(*model, map_cfg());
+  msim::AnalogNetwork analog(*model, net, msim::MsimConfig{});
+  data::SyntheticSpec spec;
+  spec.num_classes = 4;
+  spec.image_size = 8;
+  spec.train_per_class = 2;
+  spec.test_per_class = 1;
+  analog.calibrate(data::make_synthetic(spec).train, 8);
+  // A served forward, so the snapshot is of counters that already moved.
+  (void)analog.forward(Tensor({1, 3, 8, 8}));
+
+  std::vector<msim::MsimStats> before;
+  for (const auto& sim : analog.sims()) before.push_back(sim->stats_snapshot());
+  const auto mvms = mvms_per_inference(*model, {3, 8, 8});
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    const msim::MsimStats after = analog.sims()[i]->stats_snapshot();
+    EXPECT_EQ(after.adc_conversions, before[i].adc_conversions) << "layer " << i;
+    EXPECT_EQ(after.adc_clip_events, before[i].adc_clip_events) << "layer " << i;
+    EXPECT_EQ(after.dac_cycles, before[i].dac_cycles) << "layer " << i;
+  }
+  EXPECT_EQ(mvms, mvms_per_inference(*tiny_model(), {3, 8, 8}));
 }
 
 TEST(MvmsPerInference, ValidatesShape) {

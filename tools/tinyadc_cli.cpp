@@ -338,8 +338,6 @@ serve::ServeConfig serve_config(const Args& args) {
   cfg.max_wait_us = args.get_int("max-wait-us", 1000);
   cfg.deterministic = args.has("deterministic");
   cfg.max_queue = static_cast<std::size_t>(args.get_int("max-queue", 0));
-  cfg.pipeline_stages =
-      static_cast<int>(args.get_int("pipeline-stages", 0));
   return cfg;
 }
 
@@ -425,7 +423,7 @@ int run_serving(const Args& args, double target_qps,
 const std::vector<std::string> kServeFlags = {
     "sigma",     "workers",  "max-batch",   "max-wait-us", "deterministic",
     "max-queue", "requests", "outstanding", "json",        "artifact",
-    "pipeline-stages", "mmap"};
+    "mmap"};
 
 int cmd_serve(const Args& args) {
   args.expect_known(kDatasetFlags + kModelFlags + kMappingFlags +
@@ -485,7 +483,6 @@ TenantSpec parse_tenant_spec(const std::string& spec, const Args& args) {
     else if (key == "max-batch") out.config.max_batch = std::stoull(val);
     else if (key == "max-queue") out.config.max_queue = std::stoull(val);
     else if (key == "max-wait-us") out.config.max_wait_us = std::stoll(val);
-    else if (key == "stages") out.config.pipeline_stages = std::stoi(val);
     else if (key == "qps") out.load.qps = std::stod(val);
     else if (key == "requests") out.load.requests = std::stoll(val);
     else if (key == "burst") out.load.burst_factor = std::stod(val);
@@ -528,11 +525,10 @@ int cmd_fleet(const Args& args) {
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-    std::printf("tenant %-12s <- %s%s (%.2f ms, prio %d, weight %.2f%s)\n",
+    std::printf("tenant %-12s <- %s%s (%.2f ms, prio %d, weight %.2f)\n",
                 spec.config.name.c_str(), spec.artifact.c_str(),
                 spec.mmap ? " [mapped]" : "", ms, spec.config.priority,
-                spec.config.weight,
-                spec.config.pipeline_stages > 0 ? ", pipelined" : "");
+                spec.config.weight);
     spec.load.dataset = &data.test;
     loads.push_back(spec.load);
   }
@@ -652,7 +648,6 @@ void usage() {
       "fault flags   : --rate R  --sa0-fraction F  --trials N  --remap\n"
       "serve flags   : --workers N  --max-batch B  --max-wait-us T  "
       "--deterministic\n"
-      "                --pipeline-stages K (stage-parallel execution)\n"
       "                --requests N  --qps Q (loadgen)  --json [path]\n"
       "artifact flags: --save-artifact out.tadc (train|prune|map: write a "
       "deployment\n"
@@ -666,8 +661,7 @@ void usage() {
       "                cold-section streaming; bit-identical outputs)\n"
       "fleet flags   : --tenant \"name=a.tadc[,weight=W][,priority=P]"
       "[,max-batch=B]\n"
-      "                [,max-queue=Q][,stages=K][,qps=R][,requests=N]"
-      "[,burst=F]\n"
+      "                [,max-queue=Q][,qps=R][,requests=N][,burst=F]\n"
       "                [,burst-period=S][,mmap][,deterministic]\" (repeat "
       "per tenant)\n"
       "                --workers N (shared pool)  --swap name=b.tadc[@frac] "
