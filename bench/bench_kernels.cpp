@@ -388,7 +388,7 @@ int run_thread_sweep(const std::string& json_path) {
 
   // Activation calibration of the bench model on 128 images: every conv
   // hook scans its patch matrix once and declines, so the row times the
-  // float forward with its segmented conv GEMMs plus the range scans.
+  // float forward with its plain conv GEMMs plus the range scans.
   // Mapping and plan compilation happen once, outside the timed calls; the
   // digest is the calibrated quantizer scales and signed-input flags.
   data::SyntheticSpec calib_spec = data::tier_by_name("cifar10");

@@ -1,9 +1,8 @@
 // Train-step throughput benchmark for the batched ADMM training pipeline.
 //
 // Plain invocation prints per-phase wall times of one optimizer step on the
-// width-scaled bench ResNet-18 — forward, backward (batched vs the
-// per-sample reference conv path), optimizer step, the fused ADMM Z/U
-// update, and the full AdmmPruner-attached train step.
+// width-scaled bench ResNet-18 — forward, backward, optimizer step, the
+// fused ADMM Z/U update, and the full AdmmPruner-attached train step.
 //
 // Invoked with `--json <path>` (or TINYADC_BENCH_JSON=<path>) it instead
 // runs the self-timed thread sweep used by BENCH_kernels.json: each kernel
@@ -76,10 +75,9 @@ struct PhaseTimes {
 };
 
 /// Times the forward / backward / optimizer phases of `reps` SGD steps on a
-/// fresh bench model with the conv layers on the given execution path.
-PhaseTimes time_phases(const data::Batch& batch, bool batched, int reps) {
+/// fresh bench model.
+PhaseTimes time_phases(const data::Batch& batch, int reps) {
   auto model = bench::bench_model("resnet18", 10);
-  for (nn::Conv2d* conv : model->conv_layers()) conv->set_batched(batched);
   nn::Trainer trainer(*model, bench_train_config());
   auto params = model->params();
   PhaseTimes t;
@@ -107,8 +105,7 @@ int run_phase_table() {
   data::DatasetPair ds = bench::bench_dataset("cifar10");
   const data::Batch batch = first_batch(ds.train, 32);
 
-  const PhaseTimes ref = time_phases(batch, /*batched=*/false, reps);
-  const PhaseTimes bat = time_phases(batch, /*batched=*/true, reps);
+  const PhaseTimes phases = time_phases(batch, reps);
 
   // Fused ADMM Z/U update and the full pruner-attached step.
   auto model = bench::bench_model("resnet18", 10);
@@ -131,17 +128,15 @@ int run_phase_table() {
 
   std::printf("Train-step phase timing (bench resnet18, batch %lld, %d reps)\n",
               static_cast<long long>(batch.labels.size()), reps);
-  bench::hr(60);
-  std::printf("%-28s %14s %14s\n", "phase", "reference ms", "batched ms");
-  bench::hr(60);
-  std::printf("%-28s %14.3f %14.3f\n", "forward", ref.forward, bat.forward);
-  std::printf("%-28s %14.3f %14.3f\n", "backward", ref.backward, bat.backward);
-  std::printf("%-28s %14.3f %14.3f\n", "optimizer step", ref.optimizer,
-              bat.optimizer);
-  bench::hr(60);
-  std::printf("%-28s %14s %14.3f\n", "ADMM update_duals", "-", admm_ms);
-  std::printf("%-28s %14s %14.3f\n", "full ADMM train step", "-", full_ms);
-  bench::hr(60);
+  bench::hr(44);
+  std::printf("%-28s %14s\n", "phase", "ms");
+  bench::hr(44);
+  std::printf("%-28s %14.3f\n", "forward", phases.forward);
+  std::printf("%-28s %14.3f\n", "backward", phases.backward);
+  std::printf("%-28s %14.3f\n", "optimizer step", phases.optimizer);
+  std::printf("%-28s %14.3f\n", "ADMM update_duals", admm_ms);
+  std::printf("%-28s %14.3f\n", "full ADMM train step", full_ms);
+  bench::hr(44);
   return 0;
 }
 
@@ -157,35 +152,29 @@ struct SweepKernel {
 std::vector<SweepKernel> make_sweep_kernels(const data::Batch& batch) {
   std::vector<SweepKernel> kernels;
 
-  // Conv forward+backward, per-sample reference path vs the batched
-  // single-GEMM workspace path — the tentpole before/after pair. Each run
-  // rebuilds the layer from the same seeds, so state is identical across
-  // thread counts; gradients accumulate over reps and feed the digest.
-  for (const bool batched : {false, true}) {
-    kernels.push_back(
-        {batched ? "train_conv_fwdbwd_batched" : "train_conv_fwdbwd_ref",
-         [batched] {
-           Rng rng(11);
-           nn::Conv2d conv("bench_conv", 8, 16, 3, 1, 1, /*bias=*/true, rng);
-           conv.set_batched(batched);
-           Rng drng(12);
-           const Tensor input = Tensor::randn({16, 8, 12, 12}, drng);
-           const Tensor gout = Tensor::randn({16, 16, 12, 12}, drng);
-           std::uint64_t h = 0;
-           for (int rep = 0; rep < 6; ++rep) {
-             const Tensor out = conv.forward(input, /*training=*/true);
-             const Tensor gin = conv.backward(gout);
-             h ^= fnv1a(out.data(),
-                        sizeof(float) * static_cast<std::size_t>(out.numel()));
-             h ^= fnv1a(gin.data(),
-                        sizeof(float) * static_cast<std::size_t>(gin.numel()));
-           }
-           const Tensor& gw = conv.weight().grad;
-           h ^= fnv1a(gw.data(),
-                      sizeof(float) * static_cast<std::size_t>(gw.numel()));
-           return h;
-         }});
-  }
+  // Conv forward+backward on the batched single-GEMM workspace path. Each
+  // run rebuilds the layer from the same seeds, so state is identical
+  // across thread counts; gradients accumulate over reps and feed the
+  // digest.
+  kernels.push_back({"train_conv_fwdbwd_batched", [] {
+    Rng rng(11);
+    nn::Conv2d conv("bench_conv", 8, 16, 3, 1, 1, /*bias=*/true, rng);
+    Rng drng(12);
+    const Tensor input = Tensor::randn({16, 8, 12, 12}, drng);
+    const Tensor gout = Tensor::randn({16, 16, 12, 12}, drng);
+    std::uint64_t h = 0;
+    for (int rep = 0; rep < 6; ++rep) {
+      const Tensor out = conv.forward(input, /*training=*/true);
+      const Tensor gin = conv.backward(gout);
+      h ^= fnv1a(out.data(),
+                 sizeof(float) * static_cast<std::size_t>(out.numel()));
+      h ^= fnv1a(gin.data(),
+                 sizeof(float) * static_cast<std::size_t>(gin.numel()));
+    }
+    const Tensor& gw = conv.weight().grad;
+    h ^= fnv1a(gw.data(), sizeof(float) * static_cast<std::size_t>(gw.numel()));
+    return h;
+  }});
 
   // Full SGD train steps on the bench model (forward, backward, optimizer).
   kernels.push_back({"train_step_sgd", [&batch] {

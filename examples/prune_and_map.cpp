@@ -12,7 +12,7 @@
 #include "data/synthetic.hpp"
 #include "msim/analog_mvm.hpp"
 #include "nn/models.hpp"
-#include "xbar/programming.hpp"
+#include "xbar/mapping.hpp"
 
 int main() {
   using namespace tinyadc;
@@ -72,14 +72,6 @@ int main() {
   }
   std::printf("crossbar reduction: %.1f%%\n",
               100.0 * net.crossbar_reduction());
-
-  // One-time programming cost: pruned chips also load faster (zero-level
-  // cells need no SET pulse).
-  const auto prog = xbar::programming_cost(net);
-  std::printf("programming: %lld of %lld cells, %.2f ms, %.2f uJ\n",
-              static_cast<long long>(prog.cells_programmed),
-              static_cast<long long>(prog.cells_total), 1e3 * prog.time_s,
-              1e6 * prog.energy_j);
 
   // Verify the central claim on a real layer: analog MVM with the REDUCED
   // Eq. 1 ADC equals the integer reference exactly.

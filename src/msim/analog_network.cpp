@@ -218,12 +218,10 @@ void AnalogNetwork::calibrate(const data::Dataset& sample,
   std::fill(observed_max_.begin(), observed_max_.end(), 0.0F);
   std::fill(signed_input_.begin(), signed_input_.end(), false);
   // Forward in chunks: every conv hook sees one chunk's whole patch matrix,
-  // so the chunk bounds the transient memory. Observed maxima and signs do
-  // not depend on the chunking, and neither do the float activations: a
-  // declining conv hook runs one GEMM per chunk, segmented per sample,
-  // which rounds exactly like per-sample GEMMs, and a chunk size that is a
-  // multiple of the GEMM's 4-row register tile keeps every Linear row on
-  // the same kernel path.
+  // so the chunk only bounds the transient memory. Observed maxima and
+  // signs do not depend on the chunking, and neither do the float
+  // activations: every GEMM element is invariant to its row and column
+  // offset, so each image computes the same floats in any chunk.
   constexpr std::int64_t kChunk = 16;
   const auto n = std::min<std::int64_t>(sample.size(), max_images);
   for (std::int64_t c0 = 0; c0 < n; c0 += kChunk) {

@@ -52,8 +52,8 @@ class AnalogNetwork {
 
   /// Calibrates per-layer activation quantizers from up to `max_images`
   /// examples (float forward passes; hooks record each layer's input range
-  /// in one scan and decline, so a conv runs one GEMM per chunk, segmented
-  /// per sample, with the per-sample reference floats).
+  /// in one scan and decline, so a conv runs one plain GEMM per chunk of
+  /// images, whose floats equal each image's own).
   void calibrate(const data::Dataset& sample, std::int64_t max_images = 32);
 
   /// Analog forward pass (inference mode). Requires calibrate() first.

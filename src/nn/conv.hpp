@@ -14,21 +14,19 @@ namespace tinyadc::nn {
 /// flattens to the 2-D (C·Kh·Kw) × F matrix the crossbar mapper consumes
 /// (each 2-D column = one filter, matching Fig. 3 of the paper).
 ///
-/// Three execution paths:
-///  * **batched** (default): the whole batch is lowered into one
+/// Two execution paths:
+///  * **batched**: the whole batch is lowered into one
 ///    (patch_rows × batch·patch_cols) matrix held in a persistent grow-only
 ///    workspace — one GEMM for forward, two for backward, no per-sample
 ///    tensor allocations. Bit-identical at any thread count (GEMM row tiles
-///    are globally aligned; im2col/col2im writes are disjoint).
-///  * **reference**: the original per-sample loop, retained as the golden
-///    path for gradient checks and the bench before/after pairs
-///    (set_batched(false)).
-///  * **hooked** (inference with an MvmHook installed, either setting of
-///    set_batched): the whole batch is lowered once and offered to the
-///    hook in a single call. If the hook declines, one GEMM over that
-///    patch matrix, segmented per sample (gemm's `segment` = p), computes
-///    the output bit-identically to the reference path, so a declining
-///    hook is invisible in the result.
+///    are globally aligned; im2col/col2im writes are disjoint). The forward
+///    output is bit-identical to running each sample alone: every GEMM
+///    element is invariant to its column offset.
+///  * **hooked** (inference with an MvmHook installed): the whole batch is
+///    lowered once and offered to the hook in a single call. If the hook
+///    declines, one plain GEMM over that patch matrix computes the output,
+///    the same floats as the batched path, so a declining hook is invisible
+///    in the result.
 class Conv2d final : public Layer {
  public:
   /// Constructs with Kaiming initialization.
@@ -52,12 +50,6 @@ class Conv2d final : public Layer {
 
   /// Installs (or clears, with nullptr) the inference MVM backend.
   void set_mvm_hook(MvmHook hook) { mvm_hook_ = std::move(hook); }
-
-  /// Selects the batched workspace path (default) or the per-sample
-  /// reference path. Switching invalidates any cached training forward.
-  void set_batched(bool batched);
-  /// True when the batched path is active.
-  bool batched() const { return use_batched_; }
 
   /// Frees all workspace storage (im2col matrix, GEMM staging, scratch).
   /// The next forward pass regrows it; call between phases to return the
@@ -90,19 +82,14 @@ class Conv2d final : public Layer {
 
   Tensor forward_hooked(const Tensor& input);
   Tensor forward_batched(const Tensor& input, bool training);
-  Tensor backward_batched(const Tensor& grad_output);
-  Tensor forward_reference(const Tensor& input, bool training);
   // Scatters a [F, N·p] result into a (N, F, oh, ow) output plus bias.
   Tensor scatter_output(const float* src, std::int64_t batch) const;
-  Tensor backward_reference(const Tensor& grad_output);
-  void invalidate_cache();
 
   std::int64_t in_channels_, out_channels_, kernel_, stride_, padding_;
   bool has_bias_;
   Param weight_;
   Param bias_;
   MvmHook mvm_hook_;
-  bool use_batched_ = true;
 
   // forward cache / persistent training workspace (grow-only across steps)
   ConvGeometry geom_{};
@@ -113,7 +100,6 @@ class Conv2d final : public Layer {
   Tensor ws_out2d_;                 ///< GEMM staging [F, N·p] (fwd and bwd)
   GemmScratch ws_gemm_;             ///< transpose staging for the two
                                     ///< backward GEMMs
-  std::vector<Tensor> cols_;        ///< reference path: per-sample matrices
 };
 
 }  // namespace tinyadc::nn

@@ -29,10 +29,10 @@ namespace tinyadc::nn {
 ///  * Linear passes the (batch × in_features) input and expects
 ///    (batch × out_features) back (pre-bias).
 /// Returning std::nullopt falls back to the float path (used e.g. during
-/// activation-range calibration); Conv2d then runs one GEMM over the patch
-/// matrix, segmented per sample, which gives the per-sample reference
-/// result, the same floats as set_batched(false). Training passes
-/// never consult the hook. This is how msim::AnalogNetwork routes a whole
+/// activation-range calibration); Conv2d then runs one plain GEMM over the
+/// patch matrix, the same floats as its batched path without a hook. So a
+/// conv has two paths, batched and hooked. Training passes never consult
+/// the hook. This is how msim::AnalogNetwork routes a whole
 /// model's inference through the mixed-signal crossbar simulator.
 using MvmHook = std::function<std::optional<Tensor>(const Tensor& input)>;
 

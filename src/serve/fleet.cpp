@@ -383,28 +383,32 @@ void FleetServer::finish_batch(Tenant& t, std::vector<Pending>& batch,
   const auto t_done = Clock::now();
   const std::int64_t k = logits.dim(1);
 
+  const auto latency_us = [t_done](const Pending& p) {
+    return std::chrono::duration<double, std::micro>(t_done - p.t_submit)
+        .count();
+  };
+  // Stats before results: a caller whose future is ready must find its
+  // request counted in stats().
   LatencyHistogram local;
-  for (std::int64_t i = 0; i < b; ++i) {
-    Pending& p = batch[static_cast<std::size_t>(i)];
-    InferenceResult result;
-    result.seq = p.seq;
-    result.logits.assign(logits.data() + i * k, logits.data() + (i + 1) * k);
-    result.label = argmax_range(logits, i * k, (i + 1) * k);
-    result.latency_us =
-        std::chrono::duration<double, std::micro>(t_done - p.t_submit)
-            .count();
-    result.batch_seq = batch_seq;
-    result.batch_size = batch.size();
-    result.version = version;
-    local.record(result.latency_us);
-    p.promise.set_value(std::move(result));
-  }
+  for (const Pending& p : batch) local.record(latency_us(p));
   {
     std::lock_guard<std::mutex> lk(stats_mu_);
     t.latency.merge(local);
     t.completed += batch.size();
     ++t.batches_done;
     ++t.batch_hist[batch.size()];
+  }
+  for (std::int64_t i = 0; i < b; ++i) {
+    Pending& p = batch[static_cast<std::size_t>(i)];
+    InferenceResult result;
+    result.seq = p.seq;
+    result.logits.assign(logits.data() + i * k, logits.data() + (i + 1) * k);
+    result.label = argmax_range(logits, i * k, (i + 1) * k);
+    result.latency_us = latency_us(p);
+    result.batch_seq = batch_seq;
+    result.batch_size = batch.size();
+    result.version = version;
+    p.promise.set_value(std::move(result));
   }
 }
 

@@ -71,19 +71,30 @@ void micro_kernel(const float* a, std::int64_t lda, const float* b,
   }
 }
 
-// Scalar edge path for rows/columns that don't fill a register tile:
-// C[i, j0:j1) += alpha · A[i, k0:k1) · B[k0:k1, j0:j1).
+// Edge path for rows/columns that don't fill a register tile:
+// C[i, j0:j1) += alpha · A[i, k0:k1) · B[k0:k1, j0:j1). Each element gets
+// the microkernel's arithmetic: the k block sums into a zeroed accumulator
+// in the same order, then alpha·acc is added to C once. So no element's
+// result depends on whether its row or column lands in a full tile. One
+// accumulator row per kEdgeCols-wide chunk keeps the j loop vectorized.
+constexpr std::int64_t kEdgeCols = 8 * kNR;
+
 void edge_rows(const float* a, std::int64_t lda, const float* b,
                std::int64_t ldb, float* c, std::int64_t ldc, std::int64_t i0,
                std::int64_t i1, std::int64_t j0, std::int64_t j1,
                std::int64_t k0, std::int64_t k1, float alpha) {
+  float acc[kEdgeCols];
   for (std::int64_t i = i0; i < i1; ++i) {
     float* crow = c + i * ldc;
-    for (std::int64_t kk = k0; kk < k1; ++kk) {
-      const float av = alpha * a[i * lda + kk];
-      if (av == 0.0F) continue;
-      const float* brow = b + kk * ldb;
-      for (std::int64_t j = j0; j < j1; ++j) crow[j] += av * brow[j];
+    for (std::int64_t jc = j0; jc < j1; jc += kEdgeCols) {
+      const std::int64_t w = std::min(kEdgeCols, j1 - jc);
+      std::fill(acc, acc + w, 0.0F);
+      for (std::int64_t kk = k0; kk < k1; ++kk) {
+        const float av = a[i * lda + kk];
+        const float* brow = b + kk * ldb + jc;
+        for (std::int64_t j = 0; j < w; ++j) acc[j] += av * brow[j];
+      }
+      for (std::int64_t j = 0; j < w; ++j) crow[jc + j] += alpha * acc[j];
     }
   }
 }
@@ -91,8 +102,7 @@ void edge_rows(const float* a, std::int64_t lda, const float* b,
 }  // namespace
 
 void gemm(const Tensor& a, bool transpose_a, const Tensor& b, bool transpose_b,
-          Tensor& c, float alpha, float beta, GemmScratch* scratch,
-          std::int64_t segment) {
+          Tensor& c, float alpha, float beta, GemmScratch* scratch) {
   TINYADC_CHECK(a.ndim() == 2 && b.ndim() == 2 && c.ndim() == 2,
                 "gemm requires 2-D tensors, got " << a.ndim() << "/" << b.ndim()
                                                   << "/" << c.ndim());
@@ -104,10 +114,6 @@ void gemm(const Tensor& a, bool transpose_a, const Tensor& b, bool transpose_b,
   TINYADC_CHECK(c.dim(0) == m && c.dim(1) == n,
                 "gemm output shape " << shape_to_string(c.shape())
                                      << " != [" << m << ", " << n << "]");
-  const std::int64_t seg = segment == 0 ? n : segment;
-  TINYADC_CHECK(seg > 0 && n % seg == 0,
-                "gemm segment " << segment << " does not divide " << n
-                                << " columns");
 
   // Materializing transposed operands keeps one hot inner loop. The scratch
   // is per-call by default (the former `static thread_local` buffers aliased
@@ -129,22 +135,15 @@ void gemm(const Tensor& a, bool transpose_a, const Tensor& b, bool transpose_b,
     pb = bmat.data();
   }
 
-  // Parallelize over kMR-row register tiles, aligned to row 0 globally:
-  // every row is always computed by the same code path (microkernel for
-  // full tiles, scalar edge path for the remainder) with the same operand
-  // order no matter how many threads split the tile range — so results are
-  // bit-identical at any thread count. Columns split into kNR-wide
-  // register tiles plus a scalar edge; k is blocked so a B panel stays in
-  // cache across the i tiles of one chunk.
-  //
-  // Column tiling restarts at every segment, so each segment's columns take
-  // exactly the code paths (and rounding) of a standalone gemm of that
-  // segment. A segment narrower than kNR is all edge columns; edge_rows
-  // rounds each element alike whatever column range it is given, so one
-  // pass covers every segment.
+  // Parallelize over kMR-row register tiles, aligned to row 0 globally.
+  // Columns split into kNR-wide register tiles plus an edge; k is blocked so
+  // a B panel stays in cache across the i tiles of one chunk. The
+  // microkernel and the edge path give every element the same arithmetic
+  // in the same operand order, so an element's result depends neither on
+  // its row or column offset nor on how many threads split the tile range.
   float* pc = c.data();
   const std::int64_t tiles = (m + kMR - 1) / kMR;
-  const std::int64_t seg_main = seg - seg % kNR;
+  const std::int64_t n_main = n - n % kNR;
   const std::int64_t tile_grain =
       std::max<std::int64_t>(1, row_grain(k, n) / kMR);
   runtime::parallel_for(
@@ -160,18 +159,12 @@ void gemm(const Tensor& a, bool transpose_a, const Tensor& b, bool transpose_b,
           const std::int64_t k1 = std::min(k, k0 + kKBlock);
           std::int64_t i = i0;
           for (; i + kMR <= i1; i += kMR) {
-            if (seg_main == 0) {
-              edge_rows(pa, k, pb, n, pc, n, i, i + kMR, 0, n, k0, k1, alpha);
-            } else {
-              for (std::int64_t s0 = 0; s0 < n; s0 += seg) {
-                for (std::int64_t j = s0; j < s0 + seg_main; j += kNR)
-                  micro_kernel(pa + i * k + k0, k, pb + k0 * n + j, n,
-                               pc + i * n + j, n, k1 - k0, alpha);
-                if (seg_main < seg)
-                  edge_rows(pa, k, pb, n, pc, n, i, i + kMR, s0 + seg_main,
-                            s0 + seg, k0, k1, alpha);
-              }
-            }
+            for (std::int64_t j = 0; j < n_main; j += kNR)
+              micro_kernel(pa + i * k + k0, k, pb + k0 * n + j, n,
+                           pc + i * n + j, n, k1 - k0, alpha);
+            if (n_main < n)
+              edge_rows(pa, k, pb, n, pc, n, i, i + kMR, n_main, n, k0, k1,
+                        alpha);
           }
           if (i < i1) edge_rows(pa, k, pb, n, pc, n, i, i1, 0, n, k0, k1,
                                 alpha);

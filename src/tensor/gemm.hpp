@@ -3,9 +3,13 @@
 // Dependency-free, cache-blocked loops around a 4×32 register-blocked
 // microkernel: the accumulator tile is held across the k loop and
 // auto-vectorized (build with -DTINYADC_NATIVE=ON to let the compiler use
-// the host's full SIMD width). Work is partitioned over
-// globally-aligned row tiles, so results are bit-identical at any thread
-// count. matvec routes through the same blocked path (N = 1).
+// the host's full SIMD width). The edge rows and columns that don't fill a
+// tile get the microkernel's per-element arithmetic, so every element of C
+// is invariant to its row/column offset: a row or column block of a
+// product is bit-identical to the standalone product of that block. Work is
+// partitioned over globally-aligned row tiles, so results are also
+// bit-identical at any thread count. matvec routes through the same blocked
+// path (N = 1).
 #pragma once
 
 #include <cstdint>
@@ -32,14 +36,13 @@ struct GemmScratch {
 /// pre-allocated with the right shape. `scratch` (optional) backs the
 /// transpose materialization; nullptr falls back to per-call buffers.
 ///
-/// `segment` (0 = the whole width N) splits the N columns into independent
-/// segment-wide blocks: each block of C is bit-identical to a standalone
-/// gemm of that block of B. It must divide N. A conv runs its batch's
-/// patch matrix with segment p (pixels per sample) and so matches
-/// per-sample GEMMs exactly.
+/// Every element of C is invariant to its row/column offset: it is
+/// bit-identical to the same element of a gemm over just its row of op(A)
+/// and its column of op(B). A conv's whole-batch patch matrix therefore
+/// gives exactly the per-sample GEMMs' floats.
 void gemm(const Tensor& a, bool transpose_a, const Tensor& b, bool transpose_b,
           Tensor& c, float alpha = 1.0F, float beta = 0.0F,
-          GemmScratch* scratch = nullptr, std::int64_t segment = 0);
+          GemmScratch* scratch = nullptr);
 
 /// Convenience: returns op(A) · op(B) as a fresh tensor.
 Tensor matmul(const Tensor& a, const Tensor& b, bool transpose_a = false,

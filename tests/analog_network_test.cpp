@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "conv_per_sample.hpp"
 #include "core/pruner.hpp"
 #include "data/synthetic.hpp"
 #include "msim/analog_network.hpp"
@@ -108,47 +109,44 @@ TEST(MvmHook, ConvHookSeesWholeBatchOnce) {
                   static_cast<float>(f * 1000 + n * p + i) + 0.25F);
 }
 
-/// A declining hook yields exactly the per-sample reference output
-/// (set_batched(false)), also on a shape (k = 144 > 64 taps, p = 16 < 32
-/// pixels) where the batched GEMM rounds differently.
+/// A declining hook and the unhooked forward yield exactly the per-sample
+/// output (batch-1 forwards of each sample) on a shape with k = 144 > 64
+/// taps and p = 16 < 32 pixels: several k blocks, and every per-sample
+/// column an edge column while the batch fills a 32-wide tile.
 TEST(MvmHook, DecliningConvHookGivesReferenceOutput) {
   Rng rng(5);
   nn::Conv2d conv("c", 16, 8, 3, 1, 1, false, rng);
   const Tensor x = Tensor::randn({3, 16, 4, 4}, rng);
-  conv.set_batched(false);
-  const Tensor reference = conv.forward(x, false);
-  conv.set_batched(true);
-  const Tensor batched = conv.forward(x, false);
+  const Tensor reference = test::per_sample_forward(conv, x, false);
   const auto nbytes =
       static_cast<std::size_t>(reference.numel()) * sizeof(float);
-  ASSERT_NE(std::memcmp(batched.data(), reference.data(), nbytes), 0)
-      << "this shape must separate the batched and reference GEMMs";
-  for (const bool use_batched : {true, false}) {
-    conv.set_batched(use_batched);
-    int calls = 0;
-    conv.set_mvm_hook([&calls](const Tensor&) -> std::optional<Tensor> {
-      ++calls;
-      return std::nullopt;
-    });
-    const Tensor got = conv.forward(x, false);
-    EXPECT_EQ(calls, 1);
-    EXPECT_EQ(std::memcmp(got.data(), reference.data(), nbytes), 0)
-        << "batched=" << use_batched;
-    conv.set_mvm_hook(nullptr);
-  }
+  const Tensor batched = conv.forward(x, false);
+  EXPECT_EQ(std::memcmp(batched.data(), reference.data(), nbytes), 0);
+  int calls = 0;
+  conv.set_mvm_hook([&calls](const Tensor&) -> std::optional<Tensor> {
+    ++calls;
+    return std::nullopt;
+  });
+  const Tensor got = conv.forward(x, false);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(std::memcmp(got.data(), reference.data(), nbytes), 0);
 }
 
-/// A declining hook's segmented GEMM equals the per-sample reference GEMMs
-/// bit for bit on every shape class: p = out_h·out_w from 1 to 80 (all-edge
-/// narrow samples, exactly one 32-wide tile, tiles plus edge columns),
-/// k = C·K·K on both sides of the 64-deep k block, m % 4 edge rows (out
-/// channels 3, 5, 8), with and without bias, at several batch sizes and
-/// thread counts.
+/// A conv's whole-batch forwards equal its per-sample batch-1 forwards bit
+/// for bit: the hooked forward whose hook declines, the unhooked eval
+/// forward and the training forward, on every shape class: p =
+/// out_h·out_w from 1 to 80 (all-edge narrow samples, exactly one 32-wide
+/// tile, tiles plus edge columns), k = C·K·K on both sides of the 64-deep
+/// k block, m % 4 edge rows (out channels 3, 5, 8), with and without bias,
+/// at several batch sizes and thread counts.
 TEST(MvmHook, DecliningConvHookMatchesReferenceOnShapeGrid) {
   // (out_h, out_w): p = 1 … 80.
   const std::pair<std::int64_t, std::int64_t> outs[] = {
       {1, 1}, {1, 3}, {2, 2}, {3, 5}, {4, 4}, {4, 8},
       {3, 11}, {7, 7}, {8, 8}, {5, 13}, {8, 10}};
+  const auto decline = [](const Tensor&) -> std::optional<Tensor> {
+    return std::nullopt;
+  };
   for (const int threads : {1, 4}) {
     runtime::set_thread_count(threads);
     for (const std::int64_t kernel : {1, 3})
@@ -174,26 +172,30 @@ TEST(MvmHook, DecliningConvHookMatchesReferenceOnShapeGrid) {
                       {batch, in_channels, stride * (oh - 1) + 1,
                        stride * (ow - 1) + 1},
                       rng);
-                  conv.set_batched(false);
-                  const Tensor reference = conv.forward(x, false);
-                  conv.set_batched(true);
+                  const Tensor reference =
+                      test::per_sample_forward(conv, x, false);
                   ASSERT_EQ(reference.shape(),
                             (Shape{batch, out_channels, oh, ow}));
-                  conv.set_mvm_hook(
-                      [](const Tensor&) -> std::optional<Tensor> {
-                        return std::nullopt;
-                      });
-                  const Tensor got = conv.forward(x, false);
+                  const auto nbytes =
+                      static_cast<std::size_t>(reference.numel()) *
+                      sizeof(float);
+                  conv.set_mvm_hook(decline);
+                  const Tensor hooked = conv.forward(x, false);
                   conv.set_mvm_hook(nullptr);
-                  ASSERT_EQ(std::memcmp(got.data(), reference.data(),
-                                        static_cast<std::size_t>(
-                                            reference.numel()) *
-                                            sizeof(float)),
-                            0)
-                      << "threads=" << threads << " kernel=" << kernel
-                      << " stride=" << stride << " C=" << in_channels
-                      << " F=" << out_channels << " bias=" << bias
-                      << " p=" << oh * ow << " batch=" << batch;
+                  const Tensor eval = conv.forward(x, false);
+                  const Tensor train = conv.forward(x, true);
+                  const std::pair<const char*, const Tensor*> paths[] = {
+                      {"hooked", &hooked}, {"eval", &eval},
+                      {"training", &train}};
+                  for (const auto& [path, got] : paths)
+                    ASSERT_EQ(std::memcmp(got->data(), reference.data(),
+                                          nbytes),
+                              0)
+                        << path << " threads=" << threads
+                        << " kernel=" << kernel << " stride=" << stride
+                        << " C=" << in_channels << " F=" << out_channels
+                        << " bias=" << bias << " p=" << oh * ow
+                        << " batch=" << batch;
                 }
             }
       }

@@ -314,8 +314,8 @@ TEST(Artifact, DenseDatapathWithVariationRoundTrips) {
 // mapping, calibration (the float GEMMs) and the analog MVMs all feed it,
 // so any unintended change in their floats between commits or between the
 // portable and the -march=native build shows here. A change that moves
-// these numbers on purpose (ROADMAP item 5's column-invariant GEMM, for
-// one) re-pins the constant in the same commit and says so.
+// these numbers on purpose re-pins the constant in the same commit and
+// says so; the offset-invariant GEMM edge path (ROADMAP item 5) did.
 TEST(Artifact, FixtureForwardMatchesPinnedDigest) {
   Fixture f;
   const Tensor y = f.analog->forward(f.batch(6));
@@ -327,7 +327,7 @@ TEST(Artifact, FixtureForwardMatchesPinnedDigest) {
                                       s.dac_cycles};
     h = serve::fnv1a(counters, sizeof(counters), h);
   }
-  EXPECT_EQ(h, 0xd192fd38d30c2197ULL);
+  EXPECT_EQ(h, 0x293c6e5410434110ULL);
 }
 
 TEST(Artifact, ResaveIsByteIdentical) {
