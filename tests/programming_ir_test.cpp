@@ -1,10 +1,10 @@
-// Programming-cost model and the IR-drop analog non-ideality.
+// The IR-drop analog non-ideality (MsimConfig::ir_drop_alpha).
 #include <gtest/gtest.h>
 
-#include "core/projection.hpp"
+#include <cmath>
+
 #include "msim/analog_mvm.hpp"
 #include "tensor/ops.hpp"
-#include "xbar/programming.hpp"
 
 namespace tinyadc {
 namespace {
@@ -13,79 +13,6 @@ xbar::MappedLayer mapped(const Tensor& m, std::int64_t xbar_dim = 8) {
   xbar::MappingConfig cfg;
   cfg.dims = {xbar_dim, xbar_dim};
   return xbar::map_matrix(m, "l", cfg);
-}
-
-TEST(Programming, ZeroLayerCostsNothing) {
-  const auto report = xbar::programming_cost(mapped(Tensor::zeros({8, 8})));
-  EXPECT_EQ(report.cells_programmed, 0);
-  EXPECT_DOUBLE_EQ(report.time_s, 0.0);
-  EXPECT_DOUBLE_EQ(report.energy_j, 0.0);
-  EXPECT_GT(report.cells_total, 0);
-}
-
-TEST(Programming, DenseLayerProgramsMostCells) {
-  Rng rng(1);
-  const auto report = xbar::programming_cost(mapped(Tensor::randn({8, 8}, rng)));
-  EXPECT_GT(report.cells_programmed, 0);
-  EXPECT_GT(report.time_s, 0.0);
-  EXPECT_GT(report.energy_j, 0.0);
-}
-
-TEST(Programming, CpPruningCutsProgrammingCost) {
-  Rng rng(2);
-  Tensor dense = Tensor::randn({16, 16}, rng);
-  Tensor pruned = dense.clone();
-  // Prune columns of the row-major matrix directly (top-1 per 8-row block).
-  for (std::int64_t c = 0; c < 16; ++c)
-    for (std::int64_t r0 = 0; r0 < 16; r0 += 8) {
-      std::int64_t best = r0;
-      for (std::int64_t r = r0; r < r0 + 8; ++r)
-        if (std::fabs(pruned.at(r, c)) > std::fabs(pruned.at(best, c)))
-          best = r;
-      for (std::int64_t r = r0; r < r0 + 8; ++r)
-        if (r != best) pruned.at(r, c) = 0.0F;
-    }
-  const auto dense_report = xbar::programming_cost(mapped(dense));
-  const auto pruned_report = xbar::programming_cost(mapped(pruned));
-  EXPECT_LT(pruned_report.cells_programmed, dense_report.cells_programmed);
-  EXPECT_LT(pruned_report.energy_j, dense_report.energy_j);
-  EXPECT_LE(pruned_report.time_s, dense_report.time_s);
-}
-
-TEST(Programming, HigherLevelsTakeLonger) {
-  // A layer whose codes are all small programs faster than one maxed out.
-  Tensor small = Tensor::full({8, 8}, 0.1F);
-  Tensor big = Tensor::full({8, 8}, 0.1F);
-  big.at(0, 0) = 1.0F;  // rescales quantization so most codes are small…
-  // Compare instead two uniform layers with different magnitudes relative
-  // to their own scale: all-max vs all-min nonzero codes.
-  Tensor all_max = Tensor::ones({8, 8});
-  const auto t_max = xbar::programming_cost(mapped(all_max)).time_s;
-  Tensor tiny_codes = Tensor::ones({8, 8});
-  tiny_codes.at(0, 0) = 127.0F;  // one huge weight → others quantize to 1
-  const auto t_small = xbar::programming_cost(mapped(tiny_codes)).time_s;
-  EXPECT_LT(t_small, t_max);
-}
-
-TEST(Programming, NetworkAggregates) {
-  Rng rng(3);
-  xbar::MappedNetwork net;
-  net.config = xbar::MappingConfig{};
-  net.layers.push_back(mapped(Tensor::randn({8, 8}, rng)));
-  net.layers.push_back(mapped(Tensor::randn({8, 4}, rng)));
-  const auto total = xbar::programming_cost(net);
-  const auto a = xbar::programming_cost(net.layers[0]);
-  const auto b = xbar::programming_cost(net.layers[1]);
-  EXPECT_DOUBLE_EQ(total.energy_j, a.energy_j + b.energy_j);
-  EXPECT_EQ(total.cells_programmed, a.cells_programmed + b.cells_programmed);
-}
-
-TEST(Programming, ValidatesVoltage) {
-  Rng rng(4);
-  xbar::ProgrammingConfig cfg;
-  cfg.program_voltage = -0.1;  // above SET threshold
-  EXPECT_THROW(xbar::programming_cost(mapped(Tensor::randn({4, 4}, rng)), cfg),
-               CheckError);
 }
 
 TEST(IrDrop, ZeroAlphaIsExact) {
